@@ -30,10 +30,8 @@ Quick start::
 from repro.api import (
     THREE_WAY_ANALYZERS,
     ComparisonReport,
-    ThreeWayReport,
     prepare,
     run_comparison,
-    run_three_way,
 )
 from repro.analysis.compare import Precision
 
@@ -41,10 +39,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ComparisonReport",
-    "ThreeWayReport",
     "prepare",
     "run_comparison",
-    "run_three_way",
     "THREE_WAY_ANALYZERS",
     "Precision",
     "__version__",

@@ -290,17 +290,13 @@ def analyze_direct(
     metrics: Metrics | None = None,
     cache: "bool | None" = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> AnalysisResult:
     """Run the direct data flow analysis (Figure 4) on ``term``.
 
     ``engine`` selects the implementation: ``"tree"`` (default)
     interprets the AST, ``"plan"`` runs the compiled instruction
     arrays of :mod:`repro.machine.absplan` — same judgments, same
-    answer, same statistics (differentially tested).  ``plan_tier``
-    selects the peephole-optimized (``"opt"``, default) or raw
-    compiler-output (``"base"``) instruction arrays; both are
-    bit-identical in answers and statistics.
+    answer, same statistics (differentially tested).
     """
     if engine != "tree":
         from repro.analysis.engine import DirectPlanAnalyzer, check_engine
@@ -315,7 +311,6 @@ def analyze_direct(
             trace=trace,
             metrics=metrics,
             cache=cache,
-            plan_tier=plan_tier,
         ).run()
     return DirectAnalyzer(
         term,

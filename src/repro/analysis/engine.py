@@ -65,32 +65,22 @@ from repro.lang.ast import Term
 from repro.machine.absplan import (
     OP_APP,
     OP_BIND,
-    OP_BIND_C,
-    OP_BIND_S,
     OP_IF,
-    OP_IF_S,
     OP_LOOP,
     OP_PRIM,
     OP_TAIL,
     COP_BIND,
-    COP_BIND_C,
-    COP_BIND_S,
     COP_CAPP,
     COP_CIF,
-    COP_CIF_S,
     COP_CLOOP,
     COP_KRET,
     COP_PRIM,
     PLAN_CACHE,
-    PLAN_TIERS,
     PlanCache,
-    check_plan_tier,
     compile_anf_plan,
     compile_cps_plan,
     extend_anf_plan,
     extend_cps_plan,
-    optimize_anf_plan,
-    optimize_cps_plan,
 )
 from repro.obs.events import StoreWidened
 from repro.obs.metrics import Metrics
@@ -109,23 +99,20 @@ def check_engine(engine: str) -> str:
     return engine
 
 
-def _anf_plan_for(term: Term, plan_cache, plan_tier: str):
-    """The `AnfPlan` for ``term`` at ``plan_tier``, through the cache
-    (and its persistent tier) when one is given."""
-    check_plan_tier(plan_tier)
+def _anf_plan_for(term: Term, plan_cache: PlanCache | None):
+    """The `AnfPlan` for ``term``, through the cache when one is
+    given."""
     if plan_cache is not None:
-        return plan_cache.anf_plan(term, plan_tier)
-    plan = compile_anf_plan(term)
-    return optimize_anf_plan(plan) if plan_tier == "opt" else plan
+        return plan_cache.anf_plan(term)
+    return compile_anf_plan(term)
 
 
-def _cps_plan_for(term: CTerm, plan_cache, plan_tier: str):
-    """The `CpsPlan` for ``term`` at ``plan_tier``."""
-    check_plan_tier(plan_tier)
+def _cps_plan_for(term: CTerm, plan_cache: PlanCache | None):
+    """The `CpsPlan` for ``term``, through the cache when one is
+    given."""
     if plan_cache is not None:
-        return plan_cache.cps_plan(term, plan_tier)
-    plan = compile_cps_plan(term)
-    return optimize_cps_plan(plan) if plan_tier == "opt" else plan
+        return plan_cache.cps_plan(term)
+    return compile_cps_plan(term)
 
 
 # ----------------------------------------------------------------------
@@ -133,73 +120,11 @@ def _cps_plan_for(term: CTerm, plan_cache, plan_tier: str):
 # ----------------------------------------------------------------------
 
 
-def _materialize_anf(consts, lattice: Lattice, records=None) -> tuple:
+def _materialize_anf(consts, lattice: Lattice) -> tuple:
     from repro.analysis.common import A_DEC, A_INC, AbsClo
 
     out = []
-    for index, desc in enumerate(consts):
-        kind = desc[0]
-        if kind == "num":
-            out.append(lattice.of_const(desc[1]))
-        elif kind == "prim":
-            out.append(
-                lattice.of_clos(A_INC if desc[1] == "add1" else A_DEC)
-            )
-        else:  # "clo"
-            # Optimized plans carry the interned closure record, so
-            # the runtime value shares identity with the entry-table
-            # key; extensions fall back to building it here.
-            record = records[index] if records is not None else None
-            if record is not None:
-                out.append(lattice.of_clos(record[0]))
-            else:
-                lam = desc[1]
-                out.append(lattice.of_clos(AbsClo(lam.param, lam.body)))
-    return tuple(out)
-
-
-def _materialize_cps(consts, lattice: Lattice, records=None) -> tuple:
-    from repro.analysis.common import A_DECK, A_INCK, AbsCo, AbsCpsClo
-
-    out = []
-    for index, desc in enumerate(consts):
-        kind = desc[0]
-        if kind == "num":
-            out.append(lattice.of_const(desc[1]))
-        elif kind == "cps_prim":
-            out.append(
-                lattice.of_clos(A_INCK if desc[1] == "add1k" else A_DECK)
-            )
-        elif kind == "cps_clo":
-            record = records[index] if records is not None else None
-            if record is not None:
-                out.append(lattice.of_clos(record))
-            else:
-                lam = desc[1]
-                out.append(
-                    lattice.of_clos(
-                        AbsCpsClo(lam.param, lam.kparam, lam.body)
-                    )
-                )
-        else:  # "konts"
-            record = records[index] if records is not None else None
-            if record is not None:
-                out.append(lattice.of_konts(record))
-            else:
-                klam = desc[1]
-                out.append(lattice.of_konts(AbsCo(klam.param, klam.body)))
-    return tuple(out)
-
-
-def _materialize_poly(consts, lattice: Lattice, records=None) -> tuple:
-    """Polyvariant pool: numerals and primitives are plain values;
-    lambdas stay descriptors ``(param, body, needed)`` because their
-    captured environment is only known at closure-creation time.
-    Optimized plans precompute the ``needed`` capture lists."""
-    from repro.lang.syntax import free_variables
-
-    out = []
-    for index, desc in enumerate(consts):
+    for desc in consts:
         kind = desc[0]
         if kind == "num":
             out.append(lattice.of_const(desc[1]))
@@ -209,14 +134,52 @@ def _materialize_poly(consts, lattice: Lattice, records=None) -> tuple:
             )
         else:  # "clo"
             lam = desc[1]
-            record = records[index] if records is not None else None
-            if record is not None:
-                out.append((lam.param, lam.body, record[1]))
-            else:
-                needed = tuple(
-                    sorted(free_variables(lam.body) - {lam.param})
-                )
-                out.append((lam.param, lam.body, needed))
+            out.append(lattice.of_clos(AbsClo(lam.param, lam.body)))
+    return tuple(out)
+
+
+def _materialize_cps(consts, lattice: Lattice) -> tuple:
+    from repro.analysis.common import A_DECK, A_INCK, AbsCo, AbsCpsClo
+
+    out = []
+    for desc in consts:
+        kind = desc[0]
+        if kind == "num":
+            out.append(lattice.of_const(desc[1]))
+        elif kind == "cps_prim":
+            out.append(
+                lattice.of_clos(A_INCK if desc[1] == "add1k" else A_DECK)
+            )
+        elif kind == "cps_clo":
+            lam = desc[1]
+            out.append(
+                lattice.of_clos(AbsCpsClo(lam.param, lam.kparam, lam.body))
+            )
+        else:  # "konts"
+            klam = desc[1]
+            out.append(lattice.of_konts(AbsCo(klam.param, klam.body)))
+    return tuple(out)
+
+
+def _materialize_poly(consts, lattice: Lattice) -> tuple:
+    """Polyvariant pool: numerals and primitives are plain values;
+    lambdas stay descriptors ``(param, body, needed)`` because their
+    captured environment is only known at closure-creation time."""
+    from repro.lang.syntax import free_variables
+
+    out = []
+    for desc in consts:
+        kind = desc[0]
+        if kind == "num":
+            out.append(lattice.of_const(desc[1]))
+        elif kind == "prim":
+            out.append(
+                lattice.of_clos(A_INC if desc[1] == "add1" else A_DEC)
+            )
+        else:  # "clo"
+            lam = desc[1]
+            needed = tuple(sorted(free_variables(lam.body) - {lam.param}))
+            out.append((lam.param, lam.body, needed))
     return tuple(out)
 
 
@@ -321,7 +284,6 @@ class DirectPlanAnalyzer(_SlotEngine):
         metrics: Metrics | None = None,
         cache: "bool | None" = None,
         plan_cache: PlanCache | None = PLAN_CACHE,
-        plan_tier: str = "opt",
     ) -> None:
         if check:
             validate_anf(term)
@@ -331,7 +293,7 @@ class DirectPlanAnalyzer(_SlotEngine):
         self.max_visits = max_visits
         self.init_obs(trace, metrics)
         self.init_perf(cache)
-        plan = _anf_plan_for(term, plan_cache, plan_tier)
+        plan = _anf_plan_for(term, plan_cache)
         initial_abs = AbsStore(self.lattice, initial)
         ext_closures = [
             clo
@@ -346,9 +308,7 @@ class DirectPlanAnalyzer(_SlotEngine):
         self._slot_names, slot_of = self._slot_map(
             src.slot_names, src.slot_of, initial_abs
         )
-        self._cvals = _materialize_anf(
-            src.consts, self.lattice, getattr(src, "const_records", None)
-        )
+        self._cvals = _materialize_anf(src.consts, self.lattice)
         self._entry_cache: dict[int, tuple] = {}
         self.initial_store = self.intern_store(
             self._initial_slot_store(initial_abs, self._slot_names, slot_of)
@@ -432,13 +392,7 @@ class DirectPlanAnalyzer(_SlotEngine):
                     if hit is not None:
                         return hit
                 self.register_judgment(key, registered)
-                if op == OP_BIND_S:
-                    result = store.vals[instr[2]]
-                    next_pc = instr[3]
-                elif op == OP_BIND_C:
-                    result = cvals[instr[2]]
-                    next_pc = instr[3]
-                elif op == OP_BIND:
+                if op == OP_BIND:
                     ref = instr[2]
                     result = (
                         store.vals[ref] if ref >= 0 else cvals[-1 - ref]
@@ -452,12 +406,6 @@ class DirectPlanAnalyzer(_SlotEngine):
                     answer = self.apply(fun, arg, store)
                     result, store = answer.value, answer.store
                     next_pc = instr[4]
-                elif op == OP_IF_S:
-                    answer = self._branch(
-                        instr, store.vals[instr[2]], store
-                    )
-                    result, store = answer.value, answer.store
-                    next_pc = instr[5]
                 elif op == OP_IF:
                     answer = self._branch(
                         instr, self._ref(instr[2], store), store
@@ -554,7 +502,6 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
         metrics: Metrics | None = None,
         cache: "bool | None" = None,
         plan_cache: PlanCache | None = PLAN_CACHE,
-        plan_tier: str = "opt",
     ) -> None:
         if check:
             validate_anf(term)
@@ -566,7 +513,7 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
         self.max_visits = max_visits
         self.init_obs(trace, metrics)
         self.init_perf(cache)
-        plan = _anf_plan_for(term, plan_cache, plan_tier)
+        plan = _anf_plan_for(term, plan_cache)
         initial_abs = AbsStore(self.lattice, initial)
         ext_closures = [
             clo
@@ -581,9 +528,7 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
         self._slot_names, slot_of = self._slot_map(
             src.slot_names, src.slot_of, initial_abs
         )
-        self._cvals = _materialize_anf(
-            src.consts, self.lattice, getattr(src, "const_records", None)
-        )
+        self._cvals = _materialize_anf(src.consts, self.lattice)
         self._entry_cache: dict[int, tuple] = {}
         self.initial_store = self.intern_store(
             self._initial_slot_store(initial_abs, self._slot_names, slot_of)
@@ -668,15 +613,7 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
                     if hit is not None:
                         return hit
                 self.register_judgment(key, registered)
-                if op == OP_BIND_S:
-                    store = self.bind_slot(
-                        store, instr[1], store.vals[instr[2]]
-                    )
-                    pc = instr[3]
-                elif op == OP_BIND_C:
-                    store = self.bind_slot(store, instr[1], cvals[instr[2]])
-                    pc = instr[3]
-                elif op == OP_BIND:
+                if op == OP_BIND:
                     ref = instr[2]
                     store = self.bind_slot(
                         store,
@@ -689,10 +626,6 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
                     arg = self._ref(instr[3], store)
                     return self.apply(
                         fun, arg, ((instr[1], instr[4]),) + kont, store
-                    )
-                elif op == OP_IF_S:
-                    return self._branch(
-                        instr, store.vals[instr[2]], kont, store
                     )
                 elif op == OP_IF:
                     return self._branch(
@@ -824,7 +757,6 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
         metrics: Metrics | None = None,
         cache: "bool | None" = None,
         plan_cache: PlanCache | None = PLAN_CACHE,
-        plan_tier: str = "opt",
     ) -> None:
         from repro.analysis.common import AbsCo, AbsCpsClo
 
@@ -838,7 +770,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
         self.max_visits = max_visits
         self.init_obs(trace, metrics)
         self.init_perf(cache)
-        plan = _cps_plan_for(term, plan_cache, plan_tier)
+        plan = _cps_plan_for(term, plan_cache)
         table = dict(initial) if initial else {}
         if top_kvar not in table:
             table[top_kvar] = self.lattice.of_konts(A_STOP)
@@ -868,9 +800,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
         self._slot_names, slot_of = self._slot_map(
             src.slot_names, src.slot_of, initial_abs
         )
-        self._cvals = _materialize_cps(
-            src.consts, self.lattice, getattr(src, "const_records", None)
-        )
+        self._cvals = _materialize_cps(src.consts, self.lattice)
         self._entry_cache: dict[int, tuple] = {}
         self._kont_cache: dict[int, tuple] = {}
         self.initial_store = self.intern_store(
@@ -958,17 +888,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
                     kont_val = store.vals[instr[1]]
                     result = self._ref(instr[2], store)
                     return self.ret(kont_val, result, store)
-                if op == COP_BIND_S:
-                    store = self.bind_slot(
-                        store, instr[1], store.vals[instr[2]]
-                    )
-                    pc = instr[3]
-                elif op == COP_BIND_C:
-                    store = self.bind_slot(
-                        store, instr[1], self._cvals[instr[2]]
-                    )
-                    pc = instr[3]
-                elif op == COP_BIND:
+                if op == COP_BIND:
                     store = self.bind_slot(
                         store, instr[1], self._ref(instr[2], store)
                     )
@@ -978,10 +898,6 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
                     arg_v = self._ref(instr[2], store)
                     return self.apply(
                         fun_v, arg_v, self._cvals[instr[3]], store
-                    )
-                elif op == COP_CIF_S:
-                    return self._branch(
-                        instr, store.vals[instr[3]], store
                     )
                 elif op == COP_CIF:
                     return self._branch(
@@ -1135,7 +1051,6 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         metrics: Metrics | None = None,
         cache: "bool | None" = None,
         plan_cache: PlanCache | None = PLAN_CACHE,
-        plan_tier: str = "opt",
     ) -> None:
         if check:
             validate_anf(term)
@@ -1148,7 +1063,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         self.max_visits = max_visits
         self.init_obs(trace, metrics)
         self.init_perf(cache)
-        plan = _anf_plan_for(term, plan_cache, plan_tier)
+        plan = _anf_plan_for(term, plan_cache)
         table: dict[Hashable, AbsVal] = {}
         initial = dict(initial) if initial else {}
         for name, value in initial.items():
@@ -1169,9 +1084,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         self._entry_pc = plan.entry_pc
         self._slot_names = src.slot_names
         self._free_names = plan.free_names
-        self._cvals = _materialize_poly(
-            src.consts, self.lattice, getattr(src, "const_records", None)
-        )
+        self._cvals = _materialize_poly(src.consts, self.lattice)
         self._body_pc = {
             (clo.param, clo.body): entry[1]
             for clo, entry in src.entries.items()
@@ -1300,14 +1213,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
                     if hit is not None:
                         return hit
                 self.register_judgment(key, registered)
-                if op == OP_BIND_S:
-                    name = slot_names[instr[2]]
-                    result = self._lookup(name, env.get(name), store)
-                    next_pc = instr[3]
-                elif op == OP_BIND_C:
-                    result = self._const_value(instr[2], env)
-                    next_pc = instr[3]
-                elif op == OP_BIND:
+                if op == OP_BIND:
                     result = self._value_ref(instr[2], env, store)
                     next_pc = instr[3]
                 elif op == OP_APP:
@@ -1317,9 +1223,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
                         slot_names[instr[1]], fun, arg, ctx, store
                     )
                     next_pc = instr[4]
-                elif op == OP_IF or op == OP_IF_S:
-                    # OP_IF_S's test operand is a plain slot, which is
-                    # exactly the non-negative value-reference case.
+                elif op == OP_IF:
                     result, store = self._branch(instr, env, ctx, store)
                     next_pc = instr[5]
                 elif op == OP_PRIM:

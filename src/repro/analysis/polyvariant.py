@@ -506,13 +506,11 @@ def analyze_polyvariant(
     metrics: Metrics | None = None,
     cache: "bool | None" = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> PolyvariantResult:
     """Run the k-CFA direct data flow analysis on ``term``.
 
     ``engine="plan"`` runs the compiled-plan implementation (same
-    judgments and statistics; see :mod:`repro.analysis.engine`);
-    ``plan_tier`` selects its optimized or base instruction arrays.
+    judgments and statistics; see :mod:`repro.analysis.engine`).
     """
     if engine != "tree":
         from repro.analysis.engine import (
@@ -524,7 +522,6 @@ def analyze_polyvariant(
         return PolyvariantPlanAnalyzer(
             term, domain, k, initial, check, max_visits,
             trace=trace, metrics=metrics, cache=cache,
-            plan_tier=plan_tier,
         ).run()
     return PolyvariantDirectAnalyzer(
         term, domain, k, initial, check, max_visits,

@@ -354,13 +354,11 @@ def analyze_semantic_cps(
     metrics: Metrics | None = None,
     cache: "bool | None" = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> AnalysisResult:
     """Run the semantic-CPS data flow analysis (Figure 5) on ``term``.
 
     ``engine="plan"`` runs the compiled-plan implementation (same
-    judgments and statistics; see :mod:`repro.analysis.engine`);
-    ``plan_tier`` selects its optimized or base instruction arrays.
+    judgments and statistics; see :mod:`repro.analysis.engine`).
     """
     if engine != "tree":
         from repro.analysis.engine import (
@@ -372,7 +370,6 @@ def analyze_semantic_cps(
         return SemanticCpsPlanAnalyzer(
             term, domain, initial, loop_mode, unroll_bound, check,
             max_visits=max_visits, trace=trace, metrics=metrics, cache=cache,
-            plan_tier=plan_tier,
         ).run()
     return SemanticCpsAnalyzer(
         term, domain, initial, loop_mode, unroll_bound, check,

@@ -395,13 +395,11 @@ def analyze_syntactic_cps(
     metrics: Metrics | None = None,
     cache: "bool | None" = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> AnalysisResult:
     """Run the syntactic-CPS data flow analysis (Figure 6).
 
     ``engine="plan"`` runs the compiled-plan implementation (same
-    judgments and statistics; see :mod:`repro.analysis.engine`);
-    ``plan_tier`` selects its optimized or base instruction arrays.
+    judgments and statistics; see :mod:`repro.analysis.engine`).
     """
     if engine != "tree":
         from repro.analysis.engine import (
@@ -413,7 +411,6 @@ def analyze_syntactic_cps(
         return SyntacticCpsPlanAnalyzer(
             term, domain, initial, top_kvar, loop_mode, unroll_bound, check,
             max_visits=max_visits, trace=trace, metrics=metrics, cache=cache,
-            plan_tier=plan_tier,
         ).run()
     return SyntacticCpsAnalyzer(
         term, domain, initial, top_kvar, loop_mode, unroll_bound, check,

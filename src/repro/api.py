@@ -12,9 +12,7 @@ This is the entry point most downstream users want::
 Accepts raw source text, arbitrary A terms (normalized on the fly), or
 `CorpusProgram` records, and handles the δe transport of the initial
 store to the CPS side.  `run_comparison` is N-way over the canonical
-comparison analyzers (`repro.analysis.registry.COMPARISON_ANALYZERS`);
-`run_three_way` survives as a thin deprecated alias running exactly
-the paper's classic three.
+comparison analyzers (`repro.analysis.registry.COMPARISON_ANALYZERS`).
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from repro.lang.parser import parse
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import NULL_SINK, Sink
 
-#: The classic paper trio (the `run_three_way` vocabulary).
+#: The classic paper trio (the plan engine's default selection).
 THREE_WAY_ANALYZERS: tuple[str, ...] = (
     "direct",
     "semantic-cps",
@@ -79,9 +77,9 @@ class ComparisonReport:
     Section 5 pairwise verdicts.
 
     An analyzer that was not requested leaves its field ``None``;
-    verdict properties involving it raise ``ValueError``.  The classic
-    three are always present under `run_three_way`, and `run_comparison`
-    adds the pushdown analyzer by default (tree engine).
+    verdict properties involving it raise ``ValueError``.  By default
+    `run_comparison` runs the classic three, plus the pushdown
+    analyzer on the tree engine.
     """
 
     term: Term
@@ -201,10 +199,6 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-#: Deprecated name: the report type predates the pushdown analyzer.
-ThreeWayReport = ComparisonReport
-
-
 def run_comparison(
     program: "str | Term | CorpusProgram",
     domain: NumDomain | None = None,
@@ -217,7 +211,6 @@ def run_comparison(
     metrics: Metrics | None = None,
     cache: "bool | None" = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> ComparisonReport:
     """Run the comparison analyzers on one program.
 
@@ -252,9 +245,6 @@ def run_comparison(
             runs the compiled-plan engines of
             :mod:`repro.analysis.engine` — same answers, same
             statistics (differentially tested).
-        plan_tier: ``"opt"`` (default) runs peephole-optimized plans,
-            ``"base"`` the raw compiler output — bit-identical either
-            way; only meaningful with ``engine="plan"``.
 
     Returns:
         A `ComparisonReport` with the results and pairwise verdicts.
@@ -294,7 +284,6 @@ def run_comparison(
                 metrics=metrics,
                 cache=cache,
                 engine=engine,
-                plan_tier=plan_tier,
             )
     if "semantic-cps" in selected:
         with span("analyze.semantic-cps"):
@@ -309,7 +298,6 @@ def run_comparison(
                 metrics=metrics,
                 cache=cache,
                 engine=engine,
-                plan_tier=plan_tier,
             )
     if "syntactic-cps" in selected:
         with span("analyze.syntactic-cps"):
@@ -324,7 +312,6 @@ def run_comparison(
                 metrics=metrics,
                 cache=cache,
                 engine=engine,
-                plan_tier=plan_tier,
             )
     if "pushdown" in selected:
         with span("analyze.pushdown"):
@@ -342,44 +329,3 @@ def run_comparison(
         term, cps_term, direct, semantic, syntactic, pushdown
     )
 
-
-def run_three_way(
-    program: "str | Term | CorpusProgram",
-    domain: NumDomain | None = None,
-    initial: Mapping[str, AbsVal] | None = None,
-    loop_mode: str = "reject",
-    unroll_bound: int = 32,
-    max_visits: int | None = None,
-    trace: Sink = NULL_SINK,
-    metrics: Metrics | None = None,
-    cache: "bool | None" = None,
-    engine: str = "tree",
-) -> ComparisonReport:
-    """Deprecated alias of `run_comparison` restricted to the paper's
-    classic three analyzers (direct, semantic-CPS, syntactic-CPS).
-
-    .. deprecated::
-        Call ``run_comparison(..., analyzers=THREE_WAY_ANALYZERS)``
-        instead; this alias will be removed in a future release.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_three_way is deprecated; use"
-        " run_comparison(..., analyzers=THREE_WAY_ANALYZERS)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_comparison(
-        program,
-        domain,
-        initial,
-        analyzers=THREE_WAY_ANALYZERS,
-        loop_mode=loop_mode,
-        unroll_bound=unroll_bound,
-        max_visits=max_visits,
-        trace=trace,
-        metrics=metrics,
-        cache=cache,
-        engine=engine,
-    )

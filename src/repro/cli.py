@@ -206,7 +206,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             metrics=metrics,
             cache=cache,
             engine=args.engine,
-            plan_tier=args.plan_tier,
         )
         if analyzer == "polyvariant":
             result = result.collapse()
@@ -238,7 +237,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             metrics=metrics,
             cache=cache,
             engine=args.engine,
-            plan_tier=args.plan_tier,
         )
         payload = {
             "direct": report.direct.to_dict(),
@@ -262,7 +260,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.k is not None:
         result = analyze_polyvariant(
             term, domain, k=args.k, initial=initial, metrics=metrics,
-            cache=cache, engine=args.engine, plan_tier=args.plan_tier,
+            cache=cache, engine=args.engine,
         )
         collapsed = result.collapse()
         print(f"value: {collapsed.value!r}")
@@ -282,7 +280,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         metrics=metrics,
         cache=cache,
         engine=args.engine,
-        plan_tier=args.plan_tier,
     )
     print(report.summary())
     print("\nper-variable facts (direct analyzer):")
@@ -439,7 +436,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             fix=args.fix,
             program_name=name,
             engine=args.engine,
-            plan_tier=args.plan_tier,
         )
         for program, name, initial in jobs
     ]
@@ -601,13 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
             "engines (identical answers and statistics)"
         ),
     )
-    analyze_parser.add_argument(
-        "--plan-tier",
-        choices=("opt", "base"),
-        default="opt",
-        help="optimized (fused superinstruction) or baseline "
-        "compiled plans under --engine plan",
-    )
     analyze_parser.set_defaults(handler=_cmd_analyze)
 
     anf_parser = commands.add_parser("anf", help="print the A-normal form")
@@ -701,13 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="tree",
         help="analyzer engine powering the semantic rules",
     )
-    lint_parser.add_argument(
-        "--plan-tier",
-        choices=("opt", "base"),
-        default="opt",
-        help="optimized (fused superinstruction) or baseline "
-        "compiled plans under --engine plan",
-    )
     lint_parser.set_defaults(handler=_cmd_lint)
 
     graph_parser = commands.add_parser(
@@ -767,13 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="tree",
         help="analyzer engine used for every surveyed program",
     )
-    survey_parser.add_argument(
-        "--plan-tier",
-        choices=("opt", "base"),
-        default="opt",
-        help="optimized (fused superinstruction) or baseline "
-        "compiled plans under --engine plan",
-    )
     survey_parser.set_defaults(handler=_cmd_survey)
 
     bench_parser = commands.add_parser(
@@ -804,13 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="tree",
         help="engine for the cache-comparison workloads (the "
         "plan-vs-tree section always measures both)",
-    )
-    bench_parser.add_argument(
-        "--plan-tier",
-        choices=("opt", "base"),
-        default="opt",
-        help="plan tier for plan-engine workloads (the plan_opt "
-        "section always measures both tiers)",
     )
     bench_parser.add_argument(
         "--timestamp",
@@ -1013,9 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("tree", "plan"), default=None
     )
     request_parser.add_argument(
-        "--plan-tier", choices=("opt", "base"), default=None
-    )
-    request_parser.add_argument(
         "--cache",
         action="store_true",
         help="enable the repro.perf eval cache server-side",
@@ -1168,13 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm: abstract domain (default constprop)",
     )
     cachectl_parser.add_argument(
-        "--plans",
-        action="store_true",
-        help="warm: precompile every corpus program's ANF and cps(A) "
-        "plans (heavy ones included) and persist them as kind=plan "
-        "rows, so later serves/shards start warm without compiling",
-    )
-    cachectl_parser.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
     cachectl_parser.set_defaults(handler=_cmd_cachectl)
@@ -1287,21 +1245,20 @@ def _cmd_survey(args: argparse.Namespace) -> int:
             domain,
             jobs=args.jobs,
             engine=args.engine,
-            plan_tier=args.plan_tier,
         ).summary()
     )
     print()
     print(
         survey_random(
             args.count, args.depth, domain=domain, jobs=args.jobs,
-            engine=args.engine, plan_tier=args.plan_tier,
+            engine=args.engine,
         ).summary()
     )
     print()
     print(
         survey_random_open(
             args.count, args.depth, domain=domain, jobs=args.jobs,
-            engine=args.engine, plan_tier=args.plan_tier,
+            engine=args.engine,
         ).summary()
     )
     return 0
@@ -1328,7 +1285,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             out=args.out,
             repeat=args.repeat,
             engine=args.engine,
-            plan_tier=args.plan_tier,
             generated_at=args.timestamp,
             jobs=args.jobs,
         )
@@ -1377,8 +1333,6 @@ def _cmd_cachectl(args: argparse.Namespace) -> int:
     from repro.domains import Lattice
     from repro.serve.jobs import DOMAINS
 
-    if args.plans:
-        return _cachectl_warm_plans(args, path)
     domain_cls = DOMAINS[args.domain]
     names = args.corpus or sorted(
         name for name, prog in PROGRAMS.items() if not prog.heavy
@@ -1429,71 +1383,6 @@ def _cmd_cachectl(args: argparse.Namespace) -> int:
         print(
             f"store {summary['path']}: {summary['entries']} entries, "
             f"{summary['bytes']} bytes"
-        )
-    return 0
-
-
-def _cachectl_warm_plans(args: argparse.Namespace, path: str) -> int:
-    """``cachectl warm --plans``: compile (or load) every corpus
-    program's base plans — both transforms, heavy ones included — and
-    persist them as ``kind=plan`` rows."""
-    import json as json_mod
-    import os
-
-    from repro.corpus.programs import PROGRAMS
-    from repro.cps import cps_transform
-    from repro.incr.plans import attach_plan_store
-    from repro.incr.store import IncrStore
-    from repro.machine.absplan import PLAN_CACHE
-
-    names = args.corpus or sorted(PROGRAMS)
-    unknown = [name for name in names if name not in PROGRAMS]
-    if unknown:
-        raise SystemExit(f"unknown corpus program(s): {unknown}")
-    warmed = []
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with IncrStore(path) as store:
-        attach_plan_store(store)
-        try:
-            for name in names:
-                term = PROGRAMS[name].term
-                before = PLAN_CACHE.snapshot()
-                row = {"corpus": name, "anf": False, "cps": False}
-                try:
-                    PLAN_CACHE.anf_plan(term, "base")
-                    row["anf"] = True
-                    PLAN_CACHE.cps_plan(cps_transform(term), "base")
-                    row["cps"] = True
-                except Exception:
-                    # Plans cover the restricted subset only.
-                    pass
-                after = PLAN_CACHE.snapshot()
-                row["compiled"] = after["compiles"] - before["compiles"]
-                row["loaded"] = after["disk_loads"] - before["disk_loads"]
-                row["persisted"] = after["persisted"] - before["persisted"]
-                warmed.append(row)
-        finally:
-            attach_plan_store(None)
-        summary = store.summary()
-    plan_kind = summary["by_kind"].get("plan", {})
-    if args.json:
-        print(
-            json_mod.dumps(
-                {"warmed": warmed, "store": summary},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for row in warmed:
-            print(
-                f"  {row['corpus']:26} compiled={row['compiled']} "
-                f"loaded={row['loaded']} persisted={row['persisted']}"
-            )
-        print(
-            f"store {summary['path']}: "
-            f"{plan_kind.get('entries', 0)} plan entries, "
-            f"{plan_kind.get('payload_bytes', 0)} plan payload bytes"
         )
     return 0
 
@@ -1583,7 +1472,6 @@ def _cmd_request(args: argparse.Namespace) -> int:
         ("max_visits", args.max_visits),
         ("fuel", args.fuel),
         ("engine", args.engine),
-        ("plan_tier", args.plan_tier),
     ):
         if value is not None:
             payload[name] = value

@@ -80,7 +80,6 @@ def run_analysis(
     metrics: Any = None,
     cache: "bool | None" = True,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ):
     """Run one analyzer over ``term``, persisting summaries through
     ``store`` when possible.  Returns ``(result, recorder_or_None)``.
@@ -119,12 +118,7 @@ def run_analysis(
             # engine named, exactly like the direct API.
             return analyze_pushdown(term, engine=engine, **common), None
         if analyzer == "direct":
-            return (
-                analyze_direct(
-                    term, engine=engine, plan_tier=plan_tier, **common
-                ),
-                None,
-            )
+            return analyze_direct(term, engine=engine, **common), None
         if analyzer == "semantic-cps":
             return (
                 analyze_semantic_cps(
@@ -132,7 +126,6 @@ def run_analysis(
                     loop_mode=loop_mode,
                     unroll_bound=unroll_bound,
                     engine=engine,
-                    plan_tier=plan_tier,
                     **common,
                 ),
                 None,
@@ -146,15 +139,12 @@ def run_analysis(
                     loop_mode=loop_mode,
                     unroll_bound=unroll_bound,
                     engine=engine,
-                    plan_tier=plan_tier,
                     **common,
                 ),
                 None,
             )
         return (
-            analyze_polyvariant(
-                term, k=k, engine=engine, plan_tier=plan_tier, **common
-            ),
+            analyze_polyvariant(term, k=k, engine=engine, **common),
             None,
         )
 

@@ -31,7 +31,6 @@ STORE_SCHEMA = 1
 #: Row kinds.
 KIND_SUB = "sub"  #: one memo-frame summary
 KIND_RESPONSE = "resp"  #: a serve-layer response body
-KIND_PLAN = "plan"  #: a serialized compiled plan (repro.incr.plans)
 
 _BUSY_TIMEOUT_MS = 5_000
 
@@ -397,7 +396,6 @@ __all__ = [
     "STORE_SCHEMA",
     "KIND_SUB",
     "KIND_RESPONSE",
-    "KIND_PLAN",
     "open_store",
     "describe",
     "render_stats",

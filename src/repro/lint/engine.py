@@ -76,7 +76,6 @@ def run_analysis(
     trace: Sink = NULL_SINK,
     metrics: Metrics | None = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> AnalysisResult:
     """Run one named analyzer on a canonical term.
 
@@ -84,8 +83,7 @@ def run_analysis(
     including the δe transport of the initial store for the
     syntactic-CPS analyzer.  Accepts canonical names and the registry
     aliases; the pushdown analyzer is tree-only and raises
-    `EngineUnsupported` under ``engine="plan"``.  ``plan_tier``
-    selects the optimized or baseline plan under ``engine="plan"``.
+    `EngineUnsupported` under ``engine="plan"``.
     """
     analyzer = canonical_analyzer(analyzer, LINT_ANALYZERS)
     if analyzer == "direct":
@@ -97,7 +95,6 @@ def run_analysis(
             trace=trace,
             metrics=metrics,
             engine=engine,
-            plan_tier=plan_tier,
         )
     if analyzer == "semantic-cps":
         return analyze_semantic_cps(
@@ -110,7 +107,6 @@ def run_analysis(
             trace=trace,
             metrics=metrics,
             engine=engine,
-            plan_tier=plan_tier,
         )
     if analyzer == "syntactic-cps":
         lattice = Lattice(domain if domain is not None else ConstPropDomain())
@@ -127,7 +123,6 @@ def run_analysis(
             trace=trace,
             metrics=metrics,
             engine=engine,
-            plan_tier=plan_tier,
         )
     assert analyzer == "pushdown", analyzer
     return analyze_pushdown(
@@ -166,7 +161,6 @@ def run_lints(
     metrics: Metrics | None = None,
     program_name: str | None = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> LintReport:
     """Lint one program with both pass families.
 
@@ -242,7 +236,6 @@ def run_lints(
                 trace=recorder,
                 metrics=metrics,
                 engine=engine,
-                plan_tier=plan_tier,
             )
         except AnalysisError as exc:
             analysis_error = _analysis_error_code(exc)

@@ -100,17 +100,6 @@ OP_IF = 3  #: (op, dst_slot, test_ref, then_pc, else_pc, next_pc)
 OP_PRIM = 4  #: (op, dst_slot, binop, ref0, ref1, next_pc)
 OP_LOOP = 5  #: (op, dst_slot, next_pc)
 
-#: Superinstructions emitted by `optimize_anf_plan` only — the
-#: compilers never produce them.  Each fuses the operand *decode* into
-#: the opcode (bind+lookup, test+jump): the engines read the slot or
-#: pool index directly instead of branching on the sign of a value
-#: reference at every execution.  They replace their general form
-#: in-place (one pc each), so visit counts, judgment keys and every
-#: other statistic are unchanged by construction.
-OP_BIND_S = 6  #: (op, dst_slot, src_slot, next_pc) — bind from a slot.
-OP_BIND_C = 7  #: (op, dst_slot, const_idx, next_pc) — bind a constant.
-OP_IF_S = 8  #: (op, dst_slot, test_slot, then_pc, else_pc, next_pc)
-
 #: cps(A) opcodes.
 COP_KRET = 0  #: (op, kvar_slot, vref) — a return ``(k W)``.
 COP_BIND = 1  #: (op, dst_slot, vref, next_pc)
@@ -118,32 +107,6 @@ COP_CAPP = 2  #: (op, fun_ref, arg_ref, kont_cidx)
 COP_CIF = 3  #: (op, kvar_slot, kont_cidx, test_ref, then_pc, else_pc)
 COP_PRIM = 4  #: (op, dst_slot, binop, ref0, ref1, next_pc)
 COP_CLOOP = 5  #: (op, kont_cidx)
-
-#: cps(A) superinstructions (see the ANF ones above).
-COP_BIND_S = 6  #: (op, dst_slot, src_slot, next_pc)
-COP_BIND_C = 7  #: (op, dst_slot, const_idx, next_pc)
-COP_CIF_S = 8  #: (op, kvar_slot, kont_cidx, test_slot, then_pc, else_pc)
-
-#: Version of the instruction set itself.  Folded into the persistent
-#: plan-store key (`repro.incr.plans`) so serialized plans from an
-#: older opcode vocabulary are never decoded by a newer engine.
-ENGINE_SCHEMA = 2
-
-#: Plan tiers selectable via the ``plan_tier`` knob on the plan-engine
-#: entry points: ``"opt"`` (the default) runs `optimize_anf_plan` /
-#: `optimize_cps_plan` over the compiled arrays, ``"base"`` runs the
-#: compiler output untouched.  Both tiers are bit-identical in answers
-#: and statistics (the differential suite enforces it).
-PLAN_TIERS = ("opt", "base")
-
-
-def check_plan_tier(tier: str) -> str:
-    """Validate a plan-tier name."""
-    if tier not in PLAN_TIERS:
-        raise ValueError(
-            f"plan_tier must be one of {PLAN_TIERS}, got {tier!r}"
-        )
-    return tier
 
 
 def encode_const(index: int) -> int:
@@ -174,8 +137,6 @@ class AnfPlan:
         "entries",
         "cl_top",
         "free_names",
-        "const_records",
-        "optimized",
     )
 
     def __init__(
@@ -189,8 +150,6 @@ class AnfPlan:
         entries: dict[AbsClo, tuple[int, int]],
         cl_top: frozenset,
         free_names: frozenset,
-        const_records: "tuple | None" = None,
-        optimized: bool = False,
     ) -> None:
         self.entry_pc = entry_pc
         #: Flat instruction tuples, indexed by pc.
@@ -209,12 +168,6 @@ class AnfPlan:
         self.cl_top = cl_top
         #: Free variables of the program (polyvariant initial env).
         self.free_names = free_names
-        #: Optimizer-prebuilt companions to ``consts`` (interned
-        #: ``AbsClo`` records + free-variable captures), or None on
-        #: unoptimized plans — see `_anf_const_records`.
-        self.const_records = const_records
-        #: True once `optimize_anf_plan` has run over this plan.
-        self.optimized = optimized
 
 
 class CpsPlan:
@@ -231,8 +184,6 @@ class CpsPlan:
         "kont_entries",
         "cl_top",
         "k_top",
-        "const_records",
-        "optimized",
     )
 
     def __init__(
@@ -247,8 +198,6 @@ class CpsPlan:
         kont_entries: dict[AbsCo, tuple[int, int]],
         cl_top: frozenset,
         k_top: frozenset,
-        const_records: "tuple | None" = None,
-        optimized: bool = False,
     ) -> None:
         self.entry_pc = entry_pc
         self.code = code
@@ -264,11 +213,6 @@ class CpsPlan:
         self.kont_entries = kont_entries
         self.cl_top = cl_top
         self.k_top = k_top
-        #: Optimizer-prebuilt companions to ``consts`` (interned
-        #: ``AbsCpsClo``/``AbsCo`` records), or None when unoptimized.
-        self.const_records = const_records
-        #: True once `optimize_cps_plan` has run over this plan.
-        self.optimized = optimized
 
 
 # ----------------------------------------------------------------------
@@ -739,331 +683,32 @@ def extend_cps_plan(
 
 
 # ----------------------------------------------------------------------
-# The peephole optimizer
-# ----------------------------------------------------------------------
-#
-# `optimize_anf_plan` / `optimize_cps_plan` rewrite a compiled plan
-# into a strictly-equivalent faster one.  The judgment structure is
-# load-bearing: every pc is one `tick` and one judgment key in the
-# engines, so the optimizer never adds, removes or renumbers
-# instructions — it only (a) specializes opcodes so the operand decode
-# happens once at optimization time instead of once per execution
-# (superinstruction fusion: bind+lookup, test+jump), (b) prebuilds the
-# domain-independent halves of the constant pool (interned
-# `AbsClo`/`AbsCpsClo`/`AbsCo` records shared with the entry tables,
-# and the polyvariant free-variable captures), and (c) drops slots the
-# program can neither read nor write (dead-slot elimination, a
-# consistent renumbering of the store layout).  All three passes are
-# answer- and statistics-preserving by construction, and the
-# differential suite (`tests/machine/test_plan_opt.py`) enforces it.
-
-
-def _keep_map(total: int, live: set) -> "tuple | None":
-    """Old-slot → new-slot map dropping dead slots, or None when every
-    slot survives (the common case: the compilers only mint slots for
-    binders and references, which are live by definition)."""
-    if len(live) == total:
-        return None
-    remap = [-1] * total
-    nxt = 0
-    for slot in range(total):
-        if slot in live:
-            remap[slot] = nxt
-            nxt += 1
-    return tuple(remap)
-
-
-def _remap_names(slot_names, slot_of, remap):
-    if remap is None:
-        return slot_names, slot_of
-    names = tuple(
-        name for slot, name in enumerate(slot_names) if remap[slot] >= 0
-    )
-    return names, {name: index for index, name in enumerate(names)}
-
-
-def _anf_const_records(consts, entries) -> tuple:
-    """Prebuilt constant-pool companions: one `AbsClo` per lambda
-    constant — interned against the entry table so runtime closure
-    values are the very objects the entry lookup caches key on — plus
-    the sorted free-variable capture the polyvariant engine needs."""
-    canon = {clo: clo for clo in entries}
-    records = []
-    for desc in consts:
-        if desc[0] == "clo":
-            lam = desc[1]
-            clo = AbsClo(lam.param, lam.body)
-            clo = canon.get(clo, clo)
-            needed = tuple(sorted(free_variables(lam.body) - {lam.param}))
-            records.append((clo, needed))
-        else:
-            records.append(None)
-    return tuple(records)
-
-
-def _cps_const_records(consts, cps_entries, kont_entries) -> tuple:
-    canon = {clo: clo for clo in cps_entries}
-    kanon = {co: co for co in kont_entries}
-    records = []
-    for desc in consts:
-        kind = desc[0]
-        if kind == "cps_clo":
-            lam = desc[1]
-            clo = AbsCpsClo(lam.param, lam.kparam, lam.body)
-            records.append(canon.get(clo, clo))
-        elif kind == "konts":
-            klam = desc[1]
-            co = AbsCo(klam.param, klam.body)
-            records.append(kanon.get(co, co))
-        else:
-            records.append(None)
-    return tuple(records)
-
-
-def optimize_anf_plan(plan: AnfPlan) -> AnfPlan:
-    """The peephole-optimized equivalent of ``plan`` (idempotent)."""
-    if plan.optimized:
-        return plan
-    live: set = set()
-    for instr in plan.code:
-        op = instr[0]
-        if op == OP_TAIL:
-            if instr[1] >= 0:
-                live.add(instr[1])
-            continue
-        live.add(instr[1])
-        if op == OP_BIND or op == OP_IF:
-            if instr[2] >= 0:
-                live.add(instr[2])
-        elif op == OP_APP:
-            if instr[2] >= 0:
-                live.add(instr[2])
-            if instr[3] >= 0:
-                live.add(instr[3])
-        elif op == OP_PRIM:
-            if instr[3] >= 0:
-                live.add(instr[3])
-            if instr[4] >= 0:
-                live.add(instr[4])
-    for param_slot, _ in plan.entries.values():
-        live.add(param_slot)
-    remap = _keep_map(len(plan.slot_names), live)
-
-    def s(slot: int) -> int:
-        return slot if remap is None else remap[slot]
-
-    def r(ref: int) -> int:
-        return ref if ref < 0 or remap is None else remap[ref]
-
-    code = []
-    for instr in plan.code:
-        op = instr[0]
-        if op == OP_TAIL:
-            code.append((OP_TAIL, r(instr[1])))
-        elif op == OP_BIND:
-            ref = instr[2]
-            if ref >= 0:
-                code.append((OP_BIND_S, s(instr[1]), s(ref), instr[3]))
-            else:
-                code.append((OP_BIND_C, s(instr[1]), -1 - ref, instr[3]))
-        elif op == OP_APP:
-            code.append(
-                (OP_APP, s(instr[1]), r(instr[2]), r(instr[3]), instr[4])
-            )
-        elif op == OP_IF:
-            ref = instr[2]
-            if ref >= 0:
-                code.append(
-                    (OP_IF_S, s(instr[1]), s(ref), instr[3], instr[4],
-                     instr[5])
-                )
-            else:
-                code.append(
-                    (OP_IF, s(instr[1]), ref, instr[3], instr[4], instr[5])
-                )
-        elif op == OP_PRIM:
-            code.append(
-                (OP_PRIM, s(instr[1]), instr[2], r(instr[3]), r(instr[4]),
-                 instr[5])
-            )
-        else:  # OP_LOOP
-            code.append((OP_LOOP, s(instr[1]), instr[2]))
-    slot_names, slot_of = _remap_names(
-        plan.slot_names, plan.slot_of, remap
-    )
-    entries = {
-        clo: (s(param_slot), body_pc)
-        for clo, (param_slot, body_pc) in plan.entries.items()
-    }
-    return AnfPlan(
-        plan.entry_pc,
-        tuple(code),
-        plan.terms,
-        slot_names,
-        slot_of,
-        plan.consts,
-        entries,
-        plan.cl_top,
-        plan.free_names,
-        const_records=_anf_const_records(plan.consts, entries),
-        optimized=True,
-    )
-
-
-def optimize_cps_plan(plan: CpsPlan) -> CpsPlan:
-    """The peephole-optimized equivalent of ``plan`` (idempotent)."""
-    if plan.optimized:
-        return plan
-    live: set = set()
-    for instr in plan.code:
-        op = instr[0]
-        if op == COP_KRET:
-            live.add(instr[1])
-            if instr[2] >= 0:
-                live.add(instr[2])
-        elif op == COP_BIND:
-            live.add(instr[1])
-            if instr[2] >= 0:
-                live.add(instr[2])
-        elif op == COP_CAPP:
-            if instr[1] >= 0:
-                live.add(instr[1])
-            if instr[2] >= 0:
-                live.add(instr[2])
-        elif op == COP_CIF:
-            live.add(instr[1])
-            if instr[3] >= 0:
-                live.add(instr[3])
-        elif op == COP_PRIM:
-            live.add(instr[1])
-            if instr[3] >= 0:
-                live.add(instr[3])
-            if instr[4] >= 0:
-                live.add(instr[4])
-    for param_slot, kparam_slot, _ in plan.cps_entries.values():
-        live.add(param_slot)
-        live.add(kparam_slot)
-    for param_slot, _ in plan.kont_entries.values():
-        live.add(param_slot)
-    remap = _keep_map(len(plan.slot_names), live)
-
-    def s(slot: int) -> int:
-        return slot if remap is None else remap[slot]
-
-    def r(ref: int) -> int:
-        return ref if ref < 0 or remap is None else remap[ref]
-
-    code = []
-    for instr in plan.code:
-        op = instr[0]
-        if op == COP_KRET:
-            code.append((COP_KRET, s(instr[1]), r(instr[2])))
-        elif op == COP_BIND:
-            ref = instr[2]
-            if ref >= 0:
-                code.append((COP_BIND_S, s(instr[1]), s(ref), instr[3]))
-            else:
-                code.append((COP_BIND_C, s(instr[1]), -1 - ref, instr[3]))
-        elif op == COP_CAPP:
-            code.append((COP_CAPP, r(instr[1]), r(instr[2]), instr[3]))
-        elif op == COP_CIF:
-            ref = instr[3]
-            if ref >= 0:
-                code.append(
-                    (COP_CIF_S, s(instr[1]), instr[2], s(ref), instr[4],
-                     instr[5])
-                )
-            else:
-                code.append(
-                    (COP_CIF, s(instr[1]), instr[2], ref, instr[4],
-                     instr[5])
-                )
-        elif op == COP_PRIM:
-            code.append(
-                (COP_PRIM, s(instr[1]), instr[2], r(instr[3]), r(instr[4]),
-                 instr[5])
-            )
-        else:  # COP_CLOOP
-            code.append((COP_CLOOP, instr[1]))
-    slot_names, slot_of = _remap_names(
-        plan.slot_names, plan.slot_of, remap
-    )
-    cps_entries = {
-        clo: (s(param_slot), s(kparam_slot), body_pc)
-        for clo, (param_slot, kparam_slot, body_pc)
-        in plan.cps_entries.items()
-    }
-    kont_entries = {
-        co: (s(param_slot), body_pc)
-        for co, (param_slot, body_pc) in plan.kont_entries.items()
-    }
-    return CpsPlan(
-        plan.entry_pc,
-        tuple(code),
-        plan.terms,
-        slot_names,
-        slot_of,
-        plan.consts,
-        cps_entries,
-        kont_entries,
-        plan.cl_top,
-        plan.k_top,
-        const_records=_cps_const_records(
-            plan.consts, cps_entries, kont_entries
-        ),
-        optimized=True,
-    )
-
-
-# ----------------------------------------------------------------------
 # The cross-run plan cache
 # ----------------------------------------------------------------------
 
 
 class PlanCache:
-    """An LRU cache of compiled plans, keyed by structural term
-    equality (the canonical hash of frozen AST nodes).
+    """An in-memory LRU cache of compiled plans, keyed by
+    ``("anf" | "cps", term)`` with structural term equality (the
+    canonical hash of frozen AST nodes).  A miss calls
+    `compile_anf_plan` / `compile_cps_plan`.
 
     Thread-safe: the serve layer's worker pool shares the process-wide
     :data:`PLAN_CACHE`, so repeated requests for the same program skip
     compilation entirely.  Plans are immutable and domain-independent,
     so sharing across domains and concurrent runs is sound.
-
-    A persistent tier (`repro.incr.plans.PlanPersistTier`, attached
-    via :meth:`attach_persist`) sits between the in-memory LRU and the
-    compiler: a miss first tries to *load* the serialized base plan
-    from the sqlite store, and only compiles — then persists — on a
-    disk miss.  Optimized-tier entries are always derived in-process
-    from the base plan (`optimize_anf_plan` is cheap and depends on
-    the engine schema), so only base plans ever touch disk.
     """
 
     def __init__(self, capacity: int = 256) -> None:
         self.capacity = capacity
         self._plans: "OrderedDict[tuple, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self._persist = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.compiles = 0
-        self.disk_loads = 0
-        self.disk_misses = 0
-        self.persisted = 0
 
-    def attach_persist(self, tier) -> None:
-        """Attach a persistent plan tier (``None`` detaches).  The
-        tier must provide ``load(kind, term) -> plan | None`` and
-        ``save(kind, term, plan) -> bool``."""
-        with self._lock:
-            self._persist = tier
-
-    @property
-    def persist(self):
-        """The attached persistent tier, if any."""
-        return self._persist
-
-    def _get(self, key: tuple, build_fn):
+    def _get(self, kind: str, term, compile_fn):
+        key = (kind, term)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -1071,7 +716,12 @@ class PlanCache:
                 self.hits += 1
                 return plan
             self.misses += 1
-        plan = build_fn(key[1])
+        # Trace-context span (a no-op outside an active request trace)
+        # so `server_timing` can attribute the one-time compile cost.
+        from repro.obs.trace import span as trace_span
+
+        with trace_span("plan.compile", kind=kind):
+            plan = compile_fn(term)
         with self._lock:
             existing = self._plans.get(key)
             if existing is not None:
@@ -1082,59 +732,14 @@ class PlanCache:
                 self.evictions += 1
         return plan
 
-    def _load_or_compile(self, kind: str, term, compile_fn):
-        """Build a base plan: persistent tier first, compiler second.
-        Freshly compiled plans are written back to the tier."""
-        # Trace-context spans (no-ops outside an active request trace)
-        # so `server_timing` can attribute the one-time plan cost.
-        from repro.obs.trace import span as trace_span
+    def anf_plan(self, term: Term) -> AnfPlan:
+        """The cached (or freshly compiled) plan for ``term``."""
+        return self._get("anf", term, compile_anf_plan)
 
-        tier = self._persist
-        if tier is not None:
-            with trace_span("plan.load", kind=kind):
-                plan = tier.load(kind, term)
-            if plan is not None:
-                with self._lock:
-                    self.disk_loads += 1
-                return plan
-            with self._lock:
-                self.disk_misses += 1
-        with trace_span("plan.compile", kind=kind):
-            plan = compile_fn(term)
-        with self._lock:
-            self.compiles += 1
-        if tier is not None and tier.save(kind, term, plan):
-            with self._lock:
-                self.persisted += 1
-        return plan
-
-    def anf_plan(self, term: Term, tier: str = "opt") -> AnfPlan:
-        """The cached (or loaded, or freshly compiled) plan for
-        ``term`` at plan tier ``tier``."""
-        if tier != "base":
-            check_plan_tier(tier)
-            return self._get(
-                ("anf-opt", term),
-                lambda t: optimize_anf_plan(self.anf_plan(t, "base")),
-            )
-        return self._get(
-            ("anf", term),
-            lambda t: self._load_or_compile("anf", t, compile_anf_plan),
-        )
-
-    def cps_plan(self, term: CTerm, tier: str = "opt") -> CpsPlan:
-        """The cached (or loaded, or freshly compiled) plan for the
-        cps(A) program ``term`` at plan tier ``tier``."""
-        if tier != "base":
-            check_plan_tier(tier)
-            return self._get(
-                ("cps-opt", term),
-                lambda t: optimize_cps_plan(self.cps_plan(t, "base")),
-            )
-        return self._get(
-            ("cps", term),
-            lambda t: self._load_or_compile("cps", t, compile_cps_plan),
-        )
+    def cps_plan(self, term: CTerm) -> CpsPlan:
+        """The cached (or freshly compiled) plan for the cps(A)
+        program ``term``."""
+        return self._get("cps", term, compile_cps_plan)
 
     def clear(self) -> None:
         """Drop every cached plan (counters are kept)."""
@@ -1148,13 +753,8 @@ class PlanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "compiles": self.compiles,
-                "disk_loads": self.disk_loads,
-                "disk_misses": self.disk_misses,
-                "persisted": self.persisted,
                 "size": len(self._plans),
                 "capacity": self.capacity,
-                "persist_attached": self._persist is not None,
             }
 
 

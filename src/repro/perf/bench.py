@@ -2,7 +2,7 @@
 
 Times representative workloads with the caches off and on, checks the
 cached answers are identical to the uncached ones, and writes the
-result as ``BENCH_perf.json`` (schema ``repro.perf.bench/7``).  The
+result as ``BENCH_perf.json`` (schema ``repro.perf.bench/8``).  The
 CI smoke job runs ``--quick`` and fails on a malformed payload or on
 any cached/uncached divergence.
 
@@ -36,15 +36,6 @@ Workloads:
   than direct's), visits, and walls.  This is the Theorem 5.1 story
   in benchmark form: exact call/return matching buys precision, the
   row data shows what it costs in work;
-- the ``plan_persist`` section: cold plan compile vs warm load from
-  the persistent ``kind=plan`` store tier (`repro.incr.plans`), both
-  transforms per program, with a field-identical-plan check and a
-  warm-beats-cold gate (per kind where the compile clears the noise
-  floor, and on the per-section totals);
-- the ``plan_opt`` section: the peephole-optimized plan tier vs the
-  baseline tier on the pc-loop workloads — run walls for both tiers
-  with answers *and* the full statistics tuple enforced identical
-  (the optimizer's bit-identity contract in benchmark form);
 - the ``incremental`` section: cold (from-scratch) vs warm (unedited
   replay) vs warm-one-edit walls against the `repro.incr` persistent
   summary store, on the two large CPS workloads whose edits are
@@ -65,7 +56,7 @@ import platform
 import time
 from typing import Any, Callable
 
-SCHEMA = "repro.perf.bench/7"
+SCHEMA = "repro.perf.bench/8"
 
 #: Workloads faster than this (uncached) are too small to time: their
 #: speedup ratios are dominated by scheduler jitter, so they carry
@@ -90,8 +81,6 @@ _ENGINE_TREE_FIELDS = ("wall_s", "visits")
 _ENGINE_PLAN_FIELDS = ("compile_s", "run_s", "visits")
 _INCR_COLD_FIELDS = ("wall_s", "visits")
 _INCR_WARM_FIELDS = ("wall_s", "visits", "store_hits")
-_PLAN_PERSIST_FIELDS = ("compile_s", "load_s")
-_PLAN_OPT_FIELDS = ("run_s", "visits")
 
 
 def _timed(
@@ -173,15 +162,12 @@ def _semantic_class(engine: str):
     return SemanticCpsAnalyzer
 
 
-def _corpus_workloads(
-    quick: bool, repeat: int, engine: str, plan_tier: str
-) -> list[dict]:
+def _corpus_workloads(quick: bool, repeat: int, engine: str) -> list[dict]:
     from repro.corpus import PROGRAMS
     from repro.domains.absval import Lattice
     from repro.domains.constprop import ConstPropDomain
 
     cls = _semantic_class(engine)
-    extra = {"plan_tier": plan_tier} if engine == "plan" else {}
     lattice = Lattice(ConstPropDomain())
     names = list(PROGRAMS)
     if quick:
@@ -197,7 +183,7 @@ def _corpus_workloads(
                 f"corpus/{name}",
                 "semantic-cps",
                 lambda cache, t=program.term, i=initial: cls(
-                    t, initial=i, loop_mode="top", cache=cache, **extra
+                    t, initial=i, loop_mode="top", cache=cache
                 ),
                 repeat,
             )
@@ -205,9 +191,7 @@ def _corpus_workloads(
     return entries
 
 
-def _family_workloads(
-    quick: bool, repeat: int, engine: str, plan_tier: str
-) -> list[dict]:
+def _family_workloads(quick: bool, repeat: int, engine: str) -> list[dict]:
     from repro.corpus import (
         call_site_chain,
         conditional_chain,
@@ -217,7 +201,6 @@ def _family_workloads(
     from repro.domains.constprop import ConstPropDomain
 
     cls = _semantic_class(engine)
-    extra = {"plan_tier": plan_tier} if engine == "plan" else {}
     lattice = Lattice(ConstPropDomain())
     families = [
         (conditional_chain, 8 if quick else 12),
@@ -233,7 +216,7 @@ def _family_workloads(
                 f"family/{program.name}",
                 "semantic-cps",
                 lambda cache, t=program.term, i=initial: cls(
-                    t, initial=i, cache=cache, **extra
+                    t, initial=i, cache=cache
                 ),
                 repeat,
             )
@@ -242,7 +225,7 @@ def _family_workloads(
 
 
 def _polyvariant_workloads(
-    quick: bool, repeat: int, engine: str, plan_tier: str
+    quick: bool, repeat: int, engine: str
 ) -> list[dict]:
     from repro.corpus import PROGRAMS
     from repro.domains.absval import Lattice
@@ -253,7 +236,6 @@ def _polyvariant_workloads(
     else:
         from repro.analysis.polyvariant import PolyvariantDirectAnalyzer as cls
 
-    extra = {"plan_tier": plan_tier} if engine == "plan" else {}
     lattice = Lattice(ConstPropDomain())
     names = ("factorial",) if quick else ("factorial", "even-odd", "mini-evaluator")
     entries = []
@@ -265,7 +247,7 @@ def _polyvariant_workloads(
                 f"polyvariant/{name}",
                 "direct-kcfa",
                 lambda cache, t=program.term, i=initial: cls(
-                    t, initial=i, cache=cache, **extra
+                    t, initial=i, cache=cache
                 ),
                 repeat,
             )
@@ -594,184 +576,6 @@ def _incremental_section(quick: bool, repeat: int) -> list[dict]:
     ]
 
 
-def _plans_equal(left: Any, right: Any) -> bool:
-    """Field-by-field identity of two compiled plans — the codec's
-    round-trip contract (identical fields ⇒ identical execution, the
-    engines being deterministic functions of the plan)."""
-    if left is None or right is None or type(left) is not type(right):
-        return False
-    return all(
-        getattr(left, slot) == getattr(right, slot)
-        for slot in type(left).__slots__
-    )
-
-
-def _plan_persist_row(name: str, term: Any, repeat: int) -> dict:
-    """Cold compile vs warm load for one program, both transforms.
-
-    The load path is the steady state of a warm-started process: JSON
-    decode plus the structural node-index walk, with the tier's
-    long-lived `TermHasher` memoizing the subject digest after the
-    first probe (exactly what a persistent server's tier does)."""
-    from repro.cps import cps_transform
-    from repro.incr.plans import PlanPersistTier
-    from repro.incr.store import IncrStore
-    from repro.machine.absplan import compile_anf_plan, compile_cps_plan
-
-    cps_term = cps_transform(term)
-    with IncrStore(":memory:") as store:
-        tier = PlanPersistTier(store)
-        anf_compile = _min_seconds(lambda: compile_anf_plan(term), repeat)
-        cps_compile = _min_seconds(lambda: compile_cps_plan(cps_term), repeat)
-        anf_plan = compile_anf_plan(term)
-        cps_plan = compile_cps_plan(cps_term)
-        saved = tier.save("anf", term, anf_plan) and tier.save(
-            "cps", cps_term, cps_plan
-        )
-        anf_load = _min_seconds(lambda: tier.load("anf", term), repeat)
-        cps_load = _min_seconds(lambda: tier.load("cps", cps_term), repeat)
-        loaded_anf = tier.load("anf", term)
-        loaded_cps = tier.load("cps", cps_term)
-    cold = anf_compile + cps_compile
-    warm = anf_load + cps_load
-    return {
-        "name": name,
-        "anf": {"compile_s": anf_compile, "load_s": anf_load},
-        "cps": {"compile_s": cps_compile, "load_s": cps_load},
-        "speedup": cold / warm if warm > 0 else 0.0,
-        "noise_exempt": cold < NOISE_FLOOR_S,
-        "plans_equal": (
-            saved
-            and _plans_equal(loaded_anf, anf_plan)
-            and _plans_equal(loaded_cps, cps_plan)
-        ),
-    }
-
-
-def _plan_persist_section(quick: bool, repeat: int) -> dict:
-    """Warm-start economics of the ``kind=plan`` store tier: what a
-    restarted (or freshly forked) process pays to load each plan from
-    disk vs recompiling it.  ``total`` sums the per-row minima — the
-    aggregate a corpus-wide ``cachectl warm --plans`` warm start
-    actually saves, and the gate that stays clear of the per-row
-    noise floor."""
-    from repro.corpus import PROGRAMS, top_conditional_chain
-
-    names = ["factorial", "even-odd", "church-pairs", "mini-evaluator"]
-    if quick:
-        names = ["factorial", "church-pairs"]
-    rows = [
-        _plan_persist_row(
-            f"plan_persist/{name}", PROGRAMS[name].term, repeat
-        )
-        for name in names
-    ]
-    tcc = top_conditional_chain(12 if quick else 16)
-    rows.append(
-        _plan_persist_row(f"plan_persist/{tcc.name}", tcc.term, repeat)
-    )
-    cold = sum(
-        row[kind]["compile_s"] for row in rows for kind in ("anf", "cps")
-    )
-    warm = sum(
-        row[kind]["load_s"] for row in rows for kind in ("anf", "cps")
-    )
-    from repro.incr.plans import plan_cfg
-
-    return {
-        "cfg": plan_cfg(),
-        "rows": rows,
-        "total": {
-            "compile_s": cold,
-            "load_s": warm,
-            "speedup": cold / warm if warm > 0 else 0.0,
-            "noise_exempt": cold < NOISE_FLOOR_S,
-        },
-    }
-
-
-def _plan_opt_row(
-    name: str,
-    analyzer_name: str,
-    make: Callable[[str], Any],
-    repeat: int,
-) -> dict:
-    """Optimized vs baseline plan tier on one pc-loop workload.
-
-    The optimizer's contract is *bit-identity*, so the row carries the
-    full statistics tuple of both runs and the validator enforces
-    equality — a tier that changed so much as a join count fails the
-    bench, not just the differential suite."""
-    base_an, base_res, base_wall = _timed(lambda: make("base"), repeat)
-    opt_an, opt_res, opt_wall = _timed(lambda: make("opt"), repeat)
-    return {
-        "name": name,
-        "analyzer": analyzer_name,
-        "base": {"run_s": base_wall, "visits": base_an.stats.visits},
-        "opt": {"run_s": opt_wall, "visits": opt_an.stats.visits},
-        "speedup": base_wall / opt_wall if opt_wall > 0 else 0.0,
-        "noise_exempt": base_wall < NOISE_FLOOR_S,
-        "answers_equal": (
-            _answer_of(base_res) == _answer_of(opt_res)
-            and base_an.stats == opt_an.stats
-        ),
-    }
-
-
-def _plan_opt_section(quick: bool, repeat: int) -> list[dict]:
-    from repro.analysis.delta import delta_store
-    from repro.analysis.engine import (
-        DirectPlanAnalyzer,
-        SemanticCpsPlanAnalyzer,
-        SyntacticCpsPlanAnalyzer,
-    )
-    from repro.corpus import PROGRAMS, top_conditional_chain
-    from repro.cps import cps_transform
-    from repro.domains.absval import Lattice
-    from repro.domains.constprop import ConstPropDomain
-    from repro.domains.store import AbsStore
-
-    lattice = Lattice(ConstPropDomain())
-    tcc = top_conditional_chain(12 if quick else 16)
-    tcc_init = tcc.initial_for(lattice)
-    ack = PROGRAMS["ackermann"]
-    ack_init = ack.initial_for(lattice)
-    fact = PROGRAMS["factorial"]
-    fact_cps = cps_transform(fact.term)
-    fact_cps_init = dict(
-        delta_store(AbsStore(lattice, fact.initial_for(lattice))).items()
-    )
-    return [
-        _plan_opt_row(
-            f"plan_opt/{tcc.name}",
-            "semantic-cps",
-            lambda tier: SemanticCpsPlanAnalyzer(
-                tcc.term, initial=tcc_init, plan_tier=tier
-            ),
-            repeat,
-        ),
-        _plan_opt_row(
-            "plan_opt/ackermann",
-            "direct",
-            lambda tier: DirectPlanAnalyzer(
-                ack.term, initial=ack_init, plan_tier=tier
-            ),
-            repeat,
-        ),
-        _plan_opt_row(
-            "plan_opt/factorial",
-            "syntactic-cps",
-            lambda tier: SyntacticCpsPlanAnalyzer(
-                fact_cps,
-                initial=fact_cps_init,
-                loop_mode="top",
-                plan_tier=tier,
-            ),
-            repeat,
-        ),
-    ]
-
-
 def _survey_results_match(serial: Any, parallel: Any) -> bool:
     """Field-by-field identity of two `SurveyResult` aggregates —
     the bit-identity contract of an order-preserving parallel fold."""
@@ -865,30 +669,24 @@ def run_bench(
     engine: str = "tree",
     generated_at: str | None = None,
     jobs: int = 4,
-    plan_tier: str = "opt",
 ) -> dict:
     """Run the benchmark; optionally write the JSON payload to ``out``.
 
     ``repeat`` is the min-of-N repetition count; ``engine`` selects
     the analyzer engine for the cache-comparison workloads (the
     ``engine`` section always measures both engines); ``jobs`` is the
-    worker count for the ``parallel`` section (minimum 2);
-    ``plan_tier`` selects the plan tier those plan-engine workloads
-    run on (the ``plan_opt`` section always measures both tiers).
+    worker count for the ``parallel`` section (minimum 2).
     ``generated_at`` lets the caller (the CLI, CI) stamp the run; the
     current UTC time is used when omitted.
     """
     from repro.analysis.engine import check_engine
-    from repro.machine.absplan import check_plan_tier
 
     check_engine(engine)
-    check_plan_tier(plan_tier)
     payload = {
         "schema": SCHEMA,
         "quick": quick,
         "repeat": max(1, repeat),
         "engine_mode": engine,
-        "plan_tier": plan_tier,
         "generated_at": generated_at
         or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "meta": {
@@ -896,13 +694,11 @@ def run_bench(
             "platform": platform.platform(),
         },
         "workloads": (
-            _corpus_workloads(quick, repeat, engine, plan_tier)
-            + _family_workloads(quick, repeat, engine, plan_tier)
-            + _polyvariant_workloads(quick, repeat, engine, plan_tier)
+            _corpus_workloads(quick, repeat, engine)
+            + _family_workloads(quick, repeat, engine)
+            + _polyvariant_workloads(quick, repeat, engine)
         ),
         "engine": _engine_workloads(quick, repeat),
-        "plan_persist": _plan_persist_section(quick, repeat),
-        "plan_opt": _plan_opt_section(quick, repeat),
         "pushdown": _pushdown_section(quick, repeat),
         "parallel": _parallel_section(quick, engine, jobs),
         "incremental": _incremental_section(quick, repeat),
@@ -1094,88 +890,6 @@ def validate_bench(payload: Any) -> None:
                 f"wall {entry['edited']['wall_s']:.4f}s did not beat "
                 f"the cold wall {entry['cold']['wall_s']:.4f}s"
             )
-    plan_persist = payload.get("plan_persist")
-    if not isinstance(plan_persist, dict):
-        raise ValueError("bench payload must carry a plan_persist section")
-    for field in ("cfg", "rows", "total"):
-        if field not in plan_persist:
-            raise ValueError(f"plan_persist section missing {field!r}")
-    persist_rows = plan_persist["rows"]
-    if not isinstance(persist_rows, list) or not persist_rows:
-        raise ValueError(
-            "plan_persist section must carry a non-empty row list"
-        )
-    for entry in persist_rows:
-        for field in (
-            "name", "anf", "cps", "speedup", "noise_exempt", "plans_equal",
-        ):
-            if field not in entry:
-                raise ValueError(
-                    f"plan_persist row missing field {field!r}: {entry!r}"
-                )
-        for kind in ("anf", "cps"):
-            for field in _PLAN_PERSIST_FIELDS:
-                if field not in entry[kind]:
-                    raise ValueError(
-                        f"plan_persist row {entry['name']!r} {kind} "
-                        f"missing {field!r}"
-                    )
-        # Round-trip identity is physics-independent: always enforced.
-        if entry["plans_equal"] is not True:
-            raise ValueError(
-                f"plan_persist row {entry['name']!r}: loaded plan "
-                "diverged from the compiled plan"
-            )
-        # The tier's whole point: loading a persisted plan must beat
-        # recompiling it (per kind, where the compile clears the
-        # noise floor).
-        for kind in ("anf", "cps"):
-            if (
-                entry[kind]["compile_s"] >= NOISE_FLOOR_S
-                and entry[kind]["load_s"] >= entry[kind]["compile_s"]
-            ):
-                raise ValueError(
-                    f"plan_persist row {entry['name']!r}: warm {kind} "
-                    f"load {entry[kind]['load_s']:.6f}s did not beat "
-                    f"the cold compile {entry[kind]['compile_s']:.6f}s"
-                )
-    total = plan_persist["total"]
-    for field in ("compile_s", "load_s", "speedup", "noise_exempt"):
-        if field not in total:
-            raise ValueError(f"plan_persist total missing {field!r}")
-    if not total["noise_exempt"] and total["load_s"] >= total["compile_s"]:
-        raise ValueError(
-            f"plan_persist total: warm loads {total['load_s']:.6f}s did "
-            f"not beat cold compiles {total['compile_s']:.6f}s"
-        )
-    plan_opt = payload.get("plan_opt")
-    if not isinstance(plan_opt, list) or not plan_opt:
-        raise ValueError(
-            "bench payload must carry a non-empty plan_opt section"
-        )
-    for entry in plan_opt:
-        for field in (
-            "name", "analyzer", "base", "opt", "speedup",
-            "noise_exempt", "answers_equal",
-        ):
-            if field not in entry:
-                raise ValueError(
-                    f"plan_opt row missing field {field!r}: {entry!r}"
-                )
-        for tier in ("base", "opt"):
-            for field in _PLAN_OPT_FIELDS:
-                if field not in entry[tier]:
-                    raise ValueError(
-                        f"plan_opt row {entry['name']!r} {tier} run "
-                        f"missing {field!r}"
-                    )
-        # The optimizer's bit-identity contract (answers and the full
-        # statistics tuple): always enforced.
-        if entry["answers_equal"] is not True:
-            raise ValueError(
-                f"plan_opt row {entry['name']!r}: optimized-tier "
-                "answer or statistics diverged from the baseline tier"
-            )
 
 
 def validate_bench_file(path: str) -> dict:
@@ -1240,37 +954,6 @@ def summarize(payload: dict) -> str:
             f"{entry['cold']['wall_s']:>9.4f}s "
             f"{entry['warm']['wall_s']:>9.4f}s "
             f"{entry['edited']['wall_s']:>9.4f}s "
-            f"{entry['speedup']:>7.1f}x"
-        )
-    lines.append("")
-    lines.append(
-        f"{'plan persist (compile vs load)':38} {'compile':>10} {'load':>10} {'speedup':>8}"
-    )
-    persist = payload["plan_persist"]
-    for entry in persist["rows"] + [dict(persist["total"], name="total")]:
-        name = entry["name"] + ("*" if entry.get("noise_exempt") else "")
-        if "anf" in entry:
-            compile_s = entry["anf"]["compile_s"] + entry["cps"]["compile_s"]
-            load_s = entry["anf"]["load_s"] + entry["cps"]["load_s"]
-        else:
-            compile_s, load_s = entry["compile_s"], entry["load_s"]
-        lines.append(
-            f"{name:38} "
-            f"{compile_s:>9.4f}s "
-            f"{load_s:>9.4f}s "
-            f"{entry['speedup']:>7.1f}x"
-        )
-    lines.append("")
-    lines.append(
-        f"{'plan tier (base vs opt)':38} {'base':>10} {'opt':>10} {'speedup':>8}"
-    )
-    for entry in payload["plan_opt"]:
-        name = entry["name"] + " [" + entry["analyzer"] + "]"
-        name += "*" if entry.get("noise_exempt") else ""
-        lines.append(
-            f"{name:38} "
-            f"{entry['base']['run_s']:>9.4f}s "
-            f"{entry['opt']['run_s']:>9.4f}s "
             f"{entry['speedup']:>7.1f}x"
         )
     parallel = payload["parallel"]

@@ -88,12 +88,6 @@ def _reinit_locks_after_fork() -> None:
         from repro.machine.absplan import PLAN_CACHE
 
         PLAN_CACHE._lock = threading.Lock()
-        # An attached persistent plan tier wraps a sqlite connection,
-        # which must never be used across a fork.  The child detaches
-        # it (the in-memory plans themselves are inherited fine) and
-        # re-attaches its own store if it wants persistence — the
-        # serve shards do exactly that in `_shard_main`.
-        PLAN_CACHE._persist = None
     except Exception:
         pass
 
@@ -121,10 +115,9 @@ def warm_analysis_caches(include_heavy: bool = False) -> dict:
         from repro.cps import cps_transform
         from repro.machine.absplan import PLAN_CACHE
 
-        # With a persistent tier attached (serve --incr-store, shard
-        # warm-fork, `cachectl warm --plans`), these warm compilations
-        # become disk loads after the first process: the `PLAN_CACHE`
-        # miss path tries the store before the compiler.
+        # Under fork every worker inherits these plans copy-on-write;
+        # a spawned worker compiles its own (a few milliseconds for the
+        # whole corpus).
         plans = 0
         for program in PROGRAMS.values():
             if program.heavy and not include_heavy:
@@ -141,8 +134,7 @@ def warm_analysis_caches(include_heavy: bool = False) -> dict:
         _WARM_STATS = {
             "plans": plans,
             "programs": len(PROGRAMS),
-            "plan_disk_loads": snapshot["disk_loads"],
-            "plan_compiles": snapshot["compiles"],
+            "plan_compiles": snapshot["misses"],
             "warm_s": round(time.perf_counter() - started, 6),
             "pid": os.getpid(),
         }

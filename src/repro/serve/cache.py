@@ -115,11 +115,6 @@ class PersistentResponseTier:
     store's generation counter into the in-memory cache key: a gc (or
     any schema reset) bumps the generation and orphans every LRU entry
     that was filled from — or alongside — the evicted rows.
-
-    Compiled plans persist through the same store file under
-    ``kind=plan`` (`repro.incr.plans.PlanPersistTier`): a response
-    miss that must re-run an analyzer still skips plan compilation
-    when a previous process already persisted the program's plan.
     """
 
     def __init__(self, store) -> None:

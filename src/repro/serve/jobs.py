@@ -59,7 +59,6 @@ from repro.lang.parser import parse
 from repro.lang.pretty import pretty_flat
 from repro.lang.syntax import free_variables
 from repro.lint import LINT_ANALYZERS, run_lints
-from repro.machine.absplan import PLAN_TIERS
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import NULL_SINK, Sink
 from repro.serve.codes import ServeError, classify_exception
@@ -89,15 +88,11 @@ _FIELDS_BY_KIND = {
         "max_visits",
         "cache",
         "engine",
-        "plan_tier",
         "term_hash",
     },
     "run": _COMMON_FIELDS | {"interpreter", "fuel"},
     "compare": _COMMON_FIELDS
-    | {
-        "loop_mode", "unroll_bound", "max_visits", "cache", "engine",
-        "plan_tier",
-    },
+    | {"loop_mode", "unroll_bound", "max_visits", "cache", "engine"},
     "lint": _COMMON_FIELDS
     | {
         "analyzer",
@@ -208,7 +203,6 @@ class PreparedRequest:
         if self.kind in ("analyze", "compare"):
             payload["cache"] = spec["cache"]
             payload["engine"] = spec["engine"]
-            payload["plan_tier"] = spec["plan_tier"]
         if self.kind == "analyze":
             payload["analyzer"] = spec["analyzer"]
             if spec["analyzer"] == "polyvariant":
@@ -356,10 +350,6 @@ def prepare_request(
         # but still part of the cache key, so a differential client can
         # force both implementations to actually run.
         spec["engine"] = _resolve_enum(payload, "engine", ENGINES, "tree")
-        # Like the engine: answer-invisible, cache-key-visible.
-        spec["plan_tier"] = _resolve_enum(
-            payload, "plan_tier", PLAN_TIERS, "opt"
-        )
     if kind == "analyze":
         spec["analyzer"] = _resolve_name(
             payload, "analyzer", ANALYZERS, "direct"
@@ -561,16 +551,14 @@ def _execute_analyze(
             "term_hash": program_hash,
             "result": result.to_dict(),
         }
-    tier = spec["plan_tier"]
     if analyzer == "direct":
-        result = analyze_direct(prep.term, domain, plan_tier=tier, **common)
+        result = analyze_direct(prep.term, domain, **common)
     elif analyzer == "semantic-cps":
         result = analyze_semantic_cps(
             prep.term,
             domain,
             loop_mode=spec["loop_mode"],
             unroll_bound=spec["unroll_bound"],
-            plan_tier=tier,
             **common,
         )
     elif analyzer == "syntactic-cps":
@@ -584,17 +572,15 @@ def _execute_analyze(
             domain,
             loop_mode=spec["loop_mode"],
             unroll_bound=spec["unroll_bound"],
-            plan_tier=tier,
             **common,
         )
     elif analyzer == "pushdown":
         # Tree-only; ``engine="plan"`` raises `EngineUnsupported`,
-        # which classifies to the ``engine_unsupported`` serve code
-        # (and has no plan tier to select).
+        # which classifies to the ``engine_unsupported`` serve code.
         result = analyze_pushdown(prep.term, domain, **common)
     else:
         result = analyze_polyvariant(
-            prep.term, domain, k=spec["k"], plan_tier=tier, **common
+            prep.term, domain, k=spec["k"], **common
         ).collapse()
     return {
         "ok": True,
@@ -709,7 +695,6 @@ def _execute_compare(
         metrics=metrics,
         cache=True if spec["cache"] else None,
         engine=spec["engine"],
-        plan_tier=spec["plan_tier"],
     )
     deadline.check()
     body = {

@@ -57,7 +57,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
 from repro.corpus.programs import corpus_listing
-from repro.incr.plans import attach_plan_store
 from repro.incr.store import open_store
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import Metrics
@@ -174,15 +173,6 @@ class AnalysisService:
         self._response_tier = (
             PersistentResponseTier(self.incr_store)
             if self.incr_store is not None
-            else None
-        )
-        # Compiled plans persist through the same store: a restarted
-        # server loads them from disk instead of recompiling.  Process
-        # mode attaches per-shard (each shard opens its own connection
-        # after forking); the dispatcher's tier serves thread mode.
-        self._plan_tier = (
-            attach_plan_store(self.incr_store)
-            if self.incr_store is not None and worker_model == "thread"
             else None
         )
         if worker_model == "process":
@@ -681,11 +671,6 @@ class AnalysisService:
                 if self.incr_store is not None
                 else None
             )
-            body["plan_store"] = (
-                self._plan_store_block(self.sharded.stats())
-                if self.incr_store is not None
-                else None
-            )
             return body
         body = {
             "status": "draining" if self.pool.draining else "ok",
@@ -704,11 +689,6 @@ class AnalysisService:
             if self.incr_store is not None
             else None
         )
-        body["plan_store"] = (
-            self._plan_store_block()
-            if self.incr_store is not None
-            else None
-        )
         return body
 
     def _incr_store_health(self) -> dict:
@@ -721,35 +701,6 @@ class AnalysisService:
             "entries": summary["entries"],
             "generation": summary["generation"],
         }
-
-    def _plan_store_block(
-        self, shards: "list[dict] | None" = None
-    ) -> dict:
-        """The ``plan_store`` block: on-disk ``kind=plan`` rows plus
-        the runtime load/save counters — the dispatcher's own tier in
-        thread mode, summed over the shard replies in process mode."""
-        from repro.incr.plans import plan_cfg
-
-        by_kind = self.incr_store.summary()["by_kind"].get("plan") or {}
-        block = {
-            "cfg": plan_cfg(),
-            "entries": by_kind.get("entries", 0),
-            "payload_bytes": by_kind.get("payload_bytes", 0),
-            "loads": 0,
-            "misses": 0,
-            "saves": 0,
-            "rejects": 0,
-        }
-        if shards is not None:
-            for shard in shards:
-                stats = shard.get("plan_store") or {}
-                for name in ("loads", "misses", "saves", "rejects"):
-                    block[name] += int(stats.get(name, 0))
-        elif self._plan_tier is not None:
-            snapshot = self._plan_tier.snapshot()
-            for name in ("loads", "misses", "saves", "rejects"):
-                block[name] = snapshot[name]
-        return block
 
     def _incr_store_block(self, shards: "list[dict] | None" = None) -> dict:
         """The ``/metricsz`` ``incr_store`` block: the shared file's
@@ -805,11 +756,6 @@ class AnalysisService:
                 if self.incr_store is not None
                 else None
             )
-            body["plan_store"] = (
-                self._plan_store_block(shards)
-                if self.incr_store is not None
-                else None
-            )
             return body
         body = {
             "metrics": self.metrics.snapshot(quantiles=True),
@@ -824,11 +770,6 @@ class AnalysisService:
         }
         body["incr_store"] = (
             self._incr_store_block()
-            if self.incr_store is not None
-            else None
-        )
-        body["plan_store"] = (
-            self._plan_store_block()
             if self.incr_store is not None
             else None
         )
@@ -859,16 +800,6 @@ class AnalysisService:
             ):
                 self.metrics.gauge(f"serve.incr_store.{name}").set(
                     block.get(name, 0)
-                )
-            plan_block = self._plan_store_block(
-                self.sharded.stats() if self.sharded is not None else None
-            )
-            for name in (
-                "entries", "payload_bytes", "loads", "misses", "saves",
-                "rejects",
-            ):
-                self.metrics.gauge(f"serve.plan_store.{name}").set(
-                    plan_block.get(name, 0)
                 )
         return self.metrics.to_prometheus()
 

@@ -48,7 +48,6 @@ import time
 
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import Metrics
-from repro.incr.plans import attach_plan_store
 from repro.incr.store import open_store
 from repro.perf.pool import warm_analysis_caches
 from repro.serve.cache import PersistentResponseTier, ResultCache
@@ -189,11 +188,6 @@ def _shard_main(
     # WAL + busy timeout keep concurrent shard writers safe on the
     # one shared file.
     incr_store = open_store(incr_store_path)
-    # Attach the persistent plan tier BEFORE warming so a respawned
-    # shard loads corpus plans from disk instead of recompiling.
-    plan_tier = (
-        attach_plan_store(incr_store) if incr_store is not None else None
-    )
     warm_analysis_caches()
     metrics = Metrics()
     cache = ResultCache(cache_size, metrics=metrics)
@@ -218,9 +212,6 @@ def _shard_main(
                     "processed": processed,
                     "cache": cache.snapshot(),
                     "plan_cache": PLAN_CACHE.snapshot(),
-                    "plan_store": (
-                        None if plan_tier is None else plan_tier.snapshot()
-                    ),
                     "incr_store": (
                         None
                         if incr_store is None
@@ -328,20 +319,8 @@ class ShardedExecutor:
         if start_method == "fork":
             # Warm the dispatcher before forking: every shard inherits
             # the analyzer stack, corpus, and compiled plans
-            # copy-on-write instead of re-importing them.  With a
-            # store configured, the warm itself loads persisted plans
-            # from disk; the tier is detached again before forking
-            # (sqlite connections must not cross the fork — each shard
-            # attaches its own in `_shard_main`).
-            warm_store = open_store(incr_store)
-            if warm_store is not None:
-                attach_plan_store(warm_store)
-            try:
-                warm_analysis_caches()
-            finally:
-                if warm_store is not None:
-                    attach_plan_store(None)
-                    warm_store.close()
+            # copy-on-write instead of re-importing them.
+            warm_analysis_caches()
         self._ctx = multiprocessing.get_context(start_method)
         self.shards = shards
         self.respawns = 0

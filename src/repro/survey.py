@@ -160,14 +160,13 @@ class SurveyResult:
 
 
 def _survey_corpus_worker(args: tuple) -> "SurveyRow | None":
-    name, budget, engine, plan_tier = args
+    name, budget, engine = args
     try:
         return SurveyRow.from_report(
             run_comparison(
                 PROGRAMS[name],
                 max_visits=budget,
                 engine=engine,
-                plan_tier=plan_tier,
             )
         )
     except BudgetExceeded:
@@ -175,13 +174,11 @@ def _survey_corpus_worker(args: tuple) -> "SurveyRow | None":
 
 
 def _survey_random_worker(args: tuple) -> "SurveyRow | None":
-    seed, depth, budget, engine, plan_tier = args
+    seed, depth, budget, engine = args
     term = normalize(random_program(seed, depth))
     try:
         return SurveyRow.from_report(
-            run_comparison(
-                term, max_visits=budget, engine=engine, plan_tier=plan_tier
-            )
+            run_comparison(term, max_visits=budget, engine=engine)
         )
     except BudgetExceeded:
         return None
@@ -190,7 +187,7 @@ def _survey_random_worker(args: tuple) -> "SurveyRow | None":
 def _survey_random_open_worker(args: tuple) -> "SurveyRow | None":
     import random as _random
 
-    seed, depth, inputs, budget, engine, plan_tier = args
+    seed, depth, inputs, budget, engine = args
     domain = ConstPropDomain()
     lattice = Lattice(domain)
     term = normalize(random_open_term(_random.Random(seed), depth, inputs))
@@ -205,7 +202,6 @@ def _survey_random_open_worker(args: tuple) -> "SurveyRow | None":
                 initial=initial,
                 max_visits=budget,
                 engine=engine,
-                plan_tier=plan_tier,
             )
         )
     except BudgetExceeded:
@@ -226,7 +222,6 @@ def survey_programs(
     budget: int = DEFAULT_BUDGET,
     jobs: int | None = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> SurveyResult:
     """Survey an iterable of corpus programs.
 
@@ -240,7 +235,7 @@ def survey_programs(
     if effective_jobs(jobs, len(programs)) > 1 and domain is None and registry:
         rows = parallel_map(
             _survey_corpus_worker,
-            [(p.name, budget, engine, plan_tier) for p in programs],
+            [(p.name, budget, engine) for p in programs],
             jobs=jobs,
         )
         return _fold(population, rows)
@@ -253,7 +248,6 @@ def survey_programs(
                     domain=domain,
                     max_visits=budget,
                     engine=engine,
-                    plan_tier=plan_tier,
                 )
             )
         except BudgetExceeded:
@@ -267,7 +261,6 @@ def survey_corpus(
     budget: int = DEFAULT_BUDGET,
     jobs: int | None = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> SurveyResult:
     """Survey the built-in corpus."""
     return survey_programs(
@@ -277,7 +270,6 @@ def survey_corpus(
         budget,
         jobs=jobs,
         engine=engine,
-        plan_tier=plan_tier,
     )
 
 
@@ -289,7 +281,6 @@ def survey_random(
     budget: int = DEFAULT_BUDGET,
     jobs: int | None = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> SurveyResult:
     """Survey ``count`` seeded random closed programs.
 
@@ -303,7 +294,7 @@ def survey_random(
     if effective_jobs(jobs, count) > 1 and domain is None:
         rows = parallel_map(
             _survey_random_worker,
-            [(seed, depth, budget, engine, plan_tier) for seed in seeds],
+            [(seed, depth, budget, engine) for seed in seeds],
             jobs=jobs,
         )
         return _fold(population, rows)
@@ -317,7 +308,6 @@ def survey_random(
                     domain=domain,
                     max_visits=budget,
                     engine=engine,
-                    plan_tier=plan_tier,
                 )
             )
         except BudgetExceeded:
@@ -335,7 +325,6 @@ def survey_random_open(
     inputs: tuple[str, ...] = ("in0", "in1"),
     jobs: int | None = None,
     engine: str = "tree",
-    plan_tier: str = "opt",
 ) -> SurveyResult:
     """Survey random programs with unknown numeric inputs.
 
@@ -350,10 +339,7 @@ def survey_random_open(
     if effective_jobs(jobs, count) > 1 and domain is None:
         rows = parallel_map(
             _survey_random_open_worker,
-            [
-                (seed, depth, inputs, budget, engine, plan_tier)
-                for seed in seeds
-            ],
+            [(seed, depth, inputs, budget, engine) for seed in seeds],
             jobs=jobs,
         )
         return _fold(population, rows)
@@ -377,7 +363,6 @@ def survey_random_open(
                     initial=initial,
                     max_visits=budget,
                     engine=engine,
-                    plan_tier=plan_tier,
                 )
             )
         except BudgetExceeded:

@@ -1,336 +1,43 @@
-"""Tests for `repro.incr.plans`: the persistent ``kind=plan`` tier.
+"""Stores that still hold ``kind=plan`` rows.
 
-Covers the codec round trip (serialize → persist → load → field- and
-run-identical plans), the defensive decode paths (schema drift and
-corrupt rows fall through to the compiler, never to a wrong answer),
-the `PlanCache` integration (a fresh cache over a warm store loads
-instead of compiling), cross-process warm starts, and SIGKILL-mid-
-write recovery of the underlying store.
+Compiled plans are no longer persisted (`PlanCache` is in-memory
+only), but a store file written while they were still holds rows of
+kind ``"plan"`` under a ``plan/<codec>/<engine>/<store>`` cfg.  Those
+rows must stay ordinary data: they survive reopening the store, read
+back byte for byte, and show up under their own kind in the summary
+(`tests/incr/test_store.py` checks that `gc` evicts them).
 """
 
-import os
-import signal
-import subprocess
-import sys
+from repro.incr.store import IncrStore
 
-import pytest
-
-from repro import incr
-from repro.corpus import PROGRAMS
-from repro.cps import cps_transform
-from repro.incr.plans import (
-    PlanPersistTier,
-    attach_plan_store,
-    decode_anf_plan,
-    decode_cps_plan,
-    encode_anf_plan,
-    encode_cps_plan,
-    plan_cfg,
-)
-from repro.incr.store import KIND_PLAN, IncrStore
-from repro.machine.absplan import (
-    AnfPlan,
-    CpsPlan,
-    PlanCache,
-    compile_anf_plan,
-    compile_cps_plan,
-    optimize_anf_plan,
-)
-
-TERM = PROGRAMS["factorial"].term
-CTERM = cps_transform(TERM)
+#: The cfg string and row kind the old plan tier wrote.
+LEGACY_CFG = "plan/1/2/1"
+LEGACY_KIND = "plan"
 
 
-def plans_equal(left, right) -> bool:
-    return type(left) is type(right) and all(
-        getattr(left, slot) == getattr(right, slot)
-        for slot in type(left).__slots__
-    )
-
-
-class TestCodec:
-    def test_anf_round_trip_is_field_identical(self):
-        plan = compile_anf_plan(TERM)
-        payload = encode_anf_plan(plan, TERM)
-        assert payload is not None
-        loaded = decode_anf_plan(payload, TERM)
-        assert plans_equal(loaded, plan)
-
-    def test_cps_round_trip_is_field_identical(self):
-        plan = compile_cps_plan(CTERM)
-        payload = encode_cps_plan(plan, CTERM)
-        assert payload is not None
-        loaded = decode_cps_plan(payload, CTERM)
-        assert plans_equal(loaded, plan)
-
-    def test_round_trip_over_whole_corpus(self):
-        for program in PROGRAMS.values():
-            plan = compile_anf_plan(program.term)
-            loaded = decode_anf_plan(
-                encode_anf_plan(plan, program.term), program.term
-            )
-            assert plans_equal(loaded, plan), program.name
-            cterm = cps_transform(program.term)
-            cplan = compile_cps_plan(cterm)
-            cloaded = decode_cps_plan(encode_cps_plan(cplan, cterm), cterm)
-            assert plans_equal(cloaded, cplan), program.name
-
-    def test_optimized_plans_are_not_serializable(self):
-        # Only base plans persist: the optimized tier is derived
-        # in-process (its interning is against live entry tables).
-        plan = optimize_anf_plan(compile_anf_plan(TERM))
-        assert encode_anf_plan(plan, TERM) is None
-
-    def test_decode_against_wrong_term_is_none(self):
-        # A digest collision cannot happen, but a shape mismatch must
-        # still fail closed: indices past the smaller tree are a miss.
-        payload = encode_anf_plan(compile_anf_plan(TERM), TERM)
-        other = PROGRAMS["constants"].term
-        assert decode_anf_plan(payload, other) is None
-
-    def test_decode_garbage_is_none(self):
-        assert decode_anf_plan("not json", TERM) is None
-        assert decode_anf_plan('{"schema": 1}', TERM) is None
-        assert decode_cps_plan("[]", CTERM) is None
-
-    def test_wrong_kind_is_none(self):
-        # An anf row must never decode as a cps plan or vice versa.
-        anf_payload = encode_anf_plan(compile_anf_plan(TERM), TERM)
-        assert decode_cps_plan(anf_payload, CTERM) is None
-        cps_payload = encode_cps_plan(compile_cps_plan(CTERM), CTERM)
-        assert decode_anf_plan(cps_payload, TERM) is None
+def _write_legacy_rows(store):
+    store.put(LEGACY_CFG, LEGACY_KIND, "subject", "anf", '{"anf": 1}')
+    store.put(LEGACY_CFG, LEGACY_KIND, "subject", "cps", '{"cps": 22}')
 
 
 class TestTier:
-    def test_miss_then_save_then_load(self, tmp_path):
-        with IncrStore(str(tmp_path / "s.sqlite")) as store:
-            tier = PlanPersistTier(store)
-            assert tier.load("anf", TERM) is None
-            assert tier.snapshot()["misses"] == 1
-            assert tier.save("anf", TERM, compile_anf_plan(TERM))
-            loaded = tier.load("anf", TERM)
-            assert plans_equal(loaded, compile_anf_plan(TERM))
-            assert tier.snapshot()["loads"] == 1
-            assert tier.snapshot()["saves"] == 1
-
     def test_rows_survive_reopen(self, tmp_path):
         path = str(tmp_path / "s.sqlite")
         with IncrStore(path) as store:
-            PlanPersistTier(store).save("anf", TERM, compile_anf_plan(TERM))
+            _write_legacy_rows(store)
         with IncrStore(path) as store:
-            loaded = PlanPersistTier(store).load("anf", TERM)
-            assert plans_equal(loaded, compile_anf_plan(TERM))
-
-    def test_codec_schema_bump_is_a_clean_miss(self, tmp_path, monkeypatch):
-        # A schema bump changes the cfg string, so old rows become
-        # unreachable — a miss and a recompile, never a decode of a
-        # stale layout.
-        path = str(tmp_path / "s.sqlite")
-        with IncrStore(path) as store:
-            tier = PlanPersistTier(store)
-            tier.save("anf", TERM, compile_anf_plan(TERM))
-            monkeypatch.setattr(incr.plans, "PLAN_CODEC_SCHEMA", 999)
-            fresh = PlanPersistTier(store)
-            assert fresh.load("anf", TERM) is None
-            snap = fresh.snapshot()
-            assert snap["misses"] == 1
-            assert snap["rejects"] == 0
-            assert snap["cfg"].startswith("plan/999/")
-
-    def test_engine_drift_inside_payload_is_rejected(self, tmp_path):
-        # Belt and braces below the cfg key: a payload whose embedded
-        # engine stamp disagrees is dropped (reject), not decoded.
-        with IncrStore(str(tmp_path / "s.sqlite")) as store:
-            tier = PlanPersistTier(store)
-            tier.save("anf", TERM, compile_anf_plan(TERM))
-            subject = tier._subject(TERM)
-            payload = store.get(plan_cfg(), KIND_PLAN, subject, "anf")
-            store.put(
-                plan_cfg(),
-                KIND_PLAN,
-                subject,
-                "anf",
-                payload.replace('"engine":', '"engine":9'),
-            )
-            assert tier.load("anf", TERM) is None
-            assert tier.snapshot()["rejects"] == 1
-
-    def test_corrupt_row_is_rejected_and_counted(self, tmp_path):
-        with IncrStore(str(tmp_path / "s.sqlite")) as store:
-            tier = PlanPersistTier(store)
-            store.put(
-                plan_cfg(), KIND_PLAN, tier._subject(TERM), "anf", "garbage"
-            )
-            assert tier.load("anf", TERM) is None
-            snap = tier.snapshot()
-            assert snap["rejects"] == 1
-            assert snap["misses"] == 1
+            anf = store.get(LEGACY_CFG, LEGACY_KIND, "subject", "anf")
+            cps = store.get(LEGACY_CFG, LEGACY_KIND, "subject", "cps")
+            assert anf == '{"anf": 1}'
+            assert cps == '{"cps": 22}'
 
     def test_store_summary_breaks_out_plan_kind(self, tmp_path):
-        with IncrStore(str(tmp_path / "s.sqlite")) as store:
-            tier = PlanPersistTier(store)
-            tier.save("anf", TERM, compile_anf_plan(TERM))
-            tier.save("cps", CTERM, compile_cps_plan(CTERM))
+        path = str(tmp_path / "s.sqlite")
+        with IncrStore(path) as store:
+            _write_legacy_rows(store)
+        with IncrStore(path) as store:
             by_kind = store.summary()["by_kind"]
-            assert by_kind[KIND_PLAN]["entries"] == 2
-            assert by_kind[KIND_PLAN]["payload_bytes"] > 0
-
-
-class TestPlanCacheIntegration:
-    def test_fresh_cache_loads_instead_of_compiling(self, tmp_path):
-        # Two PlanCache instances over one store file model a process
-        # restart: the second must serve every plan from disk.
-        path = str(tmp_path / "s.sqlite")
-        with IncrStore(path) as store:
-            cold = PlanCache()
-            cold.attach_persist(PlanPersistTier(store))
-            first_anf = cold.anf_plan(TERM, "base")
-            first_cps = cold.cps_plan(CTERM, "base")
-            snap = cold.snapshot()
-            assert snap["compiles"] == 2
-            assert snap["persisted"] == 2
-        with IncrStore(path) as store:
-            warm = PlanCache()
-            warm.attach_persist(PlanPersistTier(store))
-            again_anf = warm.anf_plan(TERM, "base")
-            again_cps = warm.cps_plan(CTERM, "base")
-            snap = warm.snapshot()
-            assert snap["compiles"] == 0
-            assert snap["disk_loads"] == 2
-            assert plans_equal(again_anf, first_anf)
-            assert plans_equal(again_cps, first_cps)
-
-    def test_opt_tier_is_derived_from_the_loaded_base(self, tmp_path):
-        path = str(tmp_path / "s.sqlite")
-        with IncrStore(path) as store:
-            cold = PlanCache()
-            cold.attach_persist(PlanPersistTier(store))
-            cold.anf_plan(TERM, "base")
-        with IncrStore(path) as store:
-            warm = PlanCache()
-            tier = PlanPersistTier(store)
-            warm.attach_persist(tier)
-            opt = warm.anf_plan(TERM, "opt")
-            assert opt.optimized
-            snap = warm.snapshot()
-            assert snap["compiles"] == 0
-            assert snap["disk_loads"] == 1
-            # Only the base plan touched disk; the optimized plan was
-            # derived in-process.
-            assert tier.snapshot()["loads"] == 1
-
-    def test_attach_plan_store_points_the_global_cache(self, tmp_path):
-        from repro.machine.absplan import PLAN_CACHE
-
-        with IncrStore(str(tmp_path / "s.sqlite")) as store:
-            tier = attach_plan_store(store)
-            try:
-                assert PLAN_CACHE.persist is tier
-            finally:
-                attach_plan_store(None)
-            assert PLAN_CACHE.persist is None
-
-
-WARM_RUN_SCRIPT = """
-import sys
-from repro.analysis.direct import analyze_direct
-from repro.analysis.syntactic_cps import analyze_syntactic_cps
-from repro.corpus import PROGRAMS
-from repro.cps import cps_transform
-from repro.domains import ConstPropDomain, Lattice
-from repro.incr.plans import attach_plan_store
-from repro.incr.store import IncrStore
-from repro.machine.absplan import PLAN_CACHE
-
-program = PROGRAMS["factorial"]
-initial = program.initial_for(Lattice(ConstPropDomain()))
-with IncrStore(sys.argv[1]) as store:
-    attach_plan_store(store)
-    result = analyze_direct(program.term, initial=initial, engine="plan")
-    cps_result = analyze_syntactic_cps(
-        cps_transform(program.term), loop_mode="top", engine="plan"
-    )
-    attach_plan_store(None)
-snap = PLAN_CACHE.snapshot()
-print(snap["compiles"], snap["disk_loads"], flush=True)
-print(repr((result.value, dict(result.store.items()))), flush=True)
-print(repr(cps_result.value), flush=True)
-"""
-
-
-class TestCrossProcess:
-    def _run(self, path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        out = subprocess.run(
-            [sys.executable, "-c", WARM_RUN_SCRIPT, path],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        counters, answer, cps_answer = out.stdout.splitlines()
-        compiles, disk_loads = map(int, counters.split())
-        return compiles, disk_loads, answer, cps_answer
-
-    def test_second_process_runs_warm_and_identical(self, tmp_path):
-        # The tentpole end to end: process one compiles and persists,
-        # process two loads every plan from disk (zero compiles) and
-        # produces byte-identical answers.
-        path = str(tmp_path / "s.sqlite")
-        compiles1, loads1, answer1, cps1 = self._run(path)
-        assert compiles1 == 2
-        assert loads1 == 0
-        compiles2, loads2, answer2, cps2 = self._run(path)
-        assert compiles2 == 0
-        assert loads2 == 2
-        assert answer2 == answer1
-        assert cps2 == cps1
-
-
-CRASH_SCRIPT = """
-import sys
-from repro.corpus import PROGRAMS, top_conditional_chain
-from repro.incr.plans import PlanPersistTier
-from repro.incr.store import IncrStore
-from repro.machine.absplan import compile_anf_plan
-
-term = PROGRAMS["factorial"].term
-store = IncrStore(sys.argv[1])
-tier = PlanPersistTier(store)
-tier.save("anf", term, compile_anf_plan(term))
-print("ready", flush=True)
-for k in range(2, 10_000):
-    chain = top_conditional_chain(k).term
-    tier.save("anf", chain, compile_anf_plan(chain))
-"""
-
-
-class TestCrashRecovery:
-    def test_sigkill_mid_write_keeps_persisted_plans_loadable(
-        self, tmp_path
-    ):
-        # Kill a writer mid-save-stream: the WAL rolls back the torn
-        # transaction and every committed plan still decodes.
-        path = str(tmp_path / "s.sqlite")
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.Popen(
-            [sys.executable, "-c", CRASH_SCRIPT, path],
-            stdout=subprocess.PIPE,
-            env=env,
-        )
-        assert proc.stdout.readline().strip() == b"ready"
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
-        with IncrStore(path) as store:
-            tier = PlanPersistTier(store)
-            loaded = tier.load("anf", TERM)
-            assert plans_equal(loaded, compile_anf_plan(TERM))
-            # The handle still accepts writes after recovery.
-            assert tier.save("cps", CTERM, compile_cps_plan(CTERM))
-            assert plans_equal(
-                tier.load("cps", CTERM), compile_cps_plan(CTERM)
-            )
+            assert by_kind[LEGACY_KIND]["entries"] == 2
+            assert by_kind[LEGACY_KIND]["payload_bytes"] == len(
+                '{"anf": 1}'
+            ) + len('{"cps": 22}')

@@ -91,11 +91,21 @@ class TestSchema:
 
 class TestGc:
     def test_gc_to_zero_clears(self, tmp_path):
-        with IncrStore(str(tmp_path / "s.sqlite")) as store:
+        path = str(tmp_path / "s.sqlite")
+        with IncrStore(path) as store:
             for i in range(10):
                 store.put("cfg", KIND_SUB, f"s{i}", "j", "x" * 100)
+            # Rows of kind "plan", as stores written before plan
+            # persistence was removed still hold them.
+            for kind in ("anf", "cps"):
+                store.put("plan/1/2/1", "plan", "subject", kind, "{}")
+        with IncrStore(path) as store:
+            assert store.summary()["by_kind"]["plan"] == {
+                "entries": 2,
+                "payload_bytes": 4,
+            }
             report = store.gc(max_bytes=0)
-            assert report["evicted"] == 10
+            assert report["evicted"] == 12
             assert report["bytes"] == 0
             assert store.summary()["entries"] == 0
 

@@ -1,13 +1,15 @@
-"""Differential tests: the optimized plan tier replays the baseline
-tier bit for bit.
+"""Differential tests: a plan served from a shared `PlanCache` replays
+a freshly compiled plan bit for bit.
 
-`repro.machine.absplan.optimize_anf_plan` / `optimize_cps_plan` may
-fuse opcodes into superinstructions, pre-join interned constant
-abstract values, and precompute branch targets — but an optimized run
-must be indistinguishable from the baseline run: same answer value,
-same final abstract store, same visit count, same loop cuts, same
-widenings (the full `AnalysisStats` dict).  These tests compare the
-two tiers over:
+`repro.machine.absplan` has one plan tier, the compiler output, and
+`PlanCache` hands the same immutable plan object to every run of the
+same term — across number domains, analyzers, threads and requests.
+That sharing is only sound if a run leaves no trace in the plan: a run
+on a cached plan (compiled for, and already run by, another domain)
+must be indistinguishable from a run on a plan compiled on the spot —
+same answer value, same final abstract store, same visit count, same
+loop cuts, same widenings (the full `AnalysisStats` dict).  These
+tests compare the two over:
 
 - the full corpus, for all four plan analyzers, over every number
   domain;
@@ -16,10 +18,12 @@ two tiers over:
 - 300 seeded random open terms (⊤ initial assumptions);
 - the `repro.perf` caches stacked on top.
 
-Work-budget agreement is part of the contract: when the baseline tier
-raises `BudgetExceeded`, the optimized tier must raise it too.  The
-structural tests at the bottom pin the optimizer's shape invariants
-(no instruction added, removed, or renumbered; idempotence).
+Work-budget agreement is part of the contract: when the fresh plan
+raises `BudgetExceeded`, the cached plan must raise it too.  The
+structural tests at the bottom pin that nothing rewrites a plan
+between the compiler and the run, and that a cached lookup is
+idempotent.  (Plan ≡ tree-walker agreement is
+`tests/analysis/test_engine_differential.py`.)
 """
 
 import random
@@ -28,10 +32,12 @@ import pytest
 
 from repro.analysis.common import BudgetExceeded
 from repro.analysis.delta import delta_store
-from repro.analysis.direct import analyze_direct
-from repro.analysis.polyvariant import analyze_polyvariant
-from repro.analysis.semantic_cps import analyze_semantic_cps
-from repro.analysis.syntactic_cps import analyze_syntactic_cps
+from repro.analysis.engine import (
+    DirectPlanAnalyzer,
+    PolyvariantPlanAnalyzer,
+    SemanticCpsPlanAnalyzer,
+    SyntacticCpsPlanAnalyzer,
+)
 from repro.anf import normalize
 from repro.corpus.programs import (
     PROGRAMS,
@@ -52,13 +58,7 @@ from repro.domains import (
 from repro.domains.store import AbsStore
 from repro.gen.random_terms import random_open_term
 from repro.lang.syntax import free_variables
-from repro.machine.absplan import (
-    PLAN_TIERS,
-    compile_anf_plan,
-    compile_cps_plan,
-    optimize_anf_plan,
-    optimize_cps_plan,
-)
+from repro.machine.absplan import PlanCache, compile_anf_plan, compile_cps_plan
 
 BUDGET = 100_000
 
@@ -70,10 +70,25 @@ DOMAINS = {
     "interval": IntervalDomain,
 }
 
+#: Shared across every test in this module, so a cached plan has
+#: usually been run before under another domain or analyzer.
+SHARED = PlanCache()
+
+#: ``None`` compiles a private plan for the run; ``SHARED`` is asked
+#: twice, so the last run is always served from the cache.
+PLAN_SOURCES = (None, SHARED, SHARED)
+
+
+def _plans_equal(left, right) -> bool:
+    return type(left) is type(right) and all(
+        getattr(left, slot) == getattr(right, slot)
+        for slot in type(left).__slots__
+    )
+
 
 def _fingerprint(run):
     """Everything observable about one analysis run, or the budget
-    outcome — both tiers must produce the same tuple."""
+    outcome — every plan source must produce the same tuple."""
     try:
         result = run()
     except BudgetExceeded:
@@ -99,85 +114,89 @@ def _poly_fingerprint(run):
     )
 
 
+def _assert_all_equal(fingerprints):
+    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+
+
 def _assert_direct_agrees(term, domain, initial, cache=None):
-    fingerprints = [
-        _fingerprint(
-            lambda t=tier: analyze_direct(
-                term,
-                domain,
-                initial=initial,
-                max_visits=BUDGET,
-                cache=cache,
-                engine="plan",
-                plan_tier=t,
+    _assert_all_equal(
+        [
+            _fingerprint(
+                lambda s=source: DirectPlanAnalyzer(
+                    term,
+                    domain,
+                    initial=initial,
+                    max_visits=BUDGET,
+                    cache=cache,
+                    plan_cache=s,
+                ).run()
             )
-        )
-        for tier in PLAN_TIERS
-    ]
-    assert fingerprints[0] == fingerprints[1]
+            for source in PLAN_SOURCES
+        ]
+    )
 
 
 def _assert_semantic_agrees(
     term, domain, initial, loop_mode="top", unroll_bound=32, cache=None
 ):
-    fingerprints = [
-        _fingerprint(
-            lambda t=tier: analyze_semantic_cps(
-                term,
-                domain,
-                initial=initial,
-                loop_mode=loop_mode,
-                unroll_bound=unroll_bound,
-                max_visits=BUDGET,
-                cache=cache,
-                engine="plan",
-                plan_tier=t,
+    _assert_all_equal(
+        [
+            _fingerprint(
+                lambda s=source: SemanticCpsPlanAnalyzer(
+                    term,
+                    domain,
+                    initial=initial,
+                    loop_mode=loop_mode,
+                    unroll_bound=unroll_bound,
+                    max_visits=BUDGET,
+                    cache=cache,
+                    plan_cache=s,
+                ).run()
             )
-        )
-        for tier in PLAN_TIERS
-    ]
-    assert fingerprints[0] == fingerprints[1]
+            for source in PLAN_SOURCES
+        ]
+    )
 
 
 def _assert_syntactic_agrees(
     cterm, domain, cps_initial, loop_mode="top", unroll_bound=32, cache=None
 ):
-    fingerprints = [
-        _fingerprint(
-            lambda t=tier: analyze_syntactic_cps(
-                cterm,
-                domain,
-                initial=cps_initial,
-                loop_mode=loop_mode,
-                unroll_bound=unroll_bound,
-                max_visits=BUDGET,
-                cache=cache,
-                engine="plan",
-                plan_tier=t,
+    _assert_all_equal(
+        [
+            _fingerprint(
+                lambda s=source: SyntacticCpsPlanAnalyzer(
+                    cterm,
+                    domain,
+                    initial=cps_initial,
+                    loop_mode=loop_mode,
+                    unroll_bound=unroll_bound,
+                    max_visits=BUDGET,
+                    cache=cache,
+                    plan_cache=s,
+                ).run()
             )
-        )
-        for tier in PLAN_TIERS
-    ]
-    assert fingerprints[0] == fingerprints[1]
+            for source in PLAN_SOURCES
+        ]
+    )
 
 
 def _assert_polyvariant_agrees(term, domain, initial, k, cache=None):
-    fingerprints = [
-        _poly_fingerprint(
-            lambda t=tier: analyze_polyvariant(
-                term,
-                domain,
-                k=k,
-                initial=initial,
-                max_visits=BUDGET,
-                cache=cache,
-                engine="plan",
-                plan_tier=t,
+    _assert_all_equal(
+        [
+            _poly_fingerprint(
+                lambda s=source: PolyvariantPlanAnalyzer(
+                    term,
+                    domain,
+                    k=k,
+                    initial=initial,
+                    max_visits=BUDGET,
+                    cache=cache,
+                    plan_cache=s,
+                ).run()
             )
-        )
-        for tier in PLAN_TIERS
-    ]
-    assert fingerprints[0] == fingerprints[1]
+            for source in PLAN_SOURCES
+        ]
+    )
 
 
 def _cps_side(term, lattice, initial):
@@ -240,7 +259,7 @@ def test_families(program):
 
 def test_loop_unroll_mode():
     """The `loop` handling must agree in `unroll` mode too (the bound
-    changes the answer, identically on both tiers)."""
+    changes the answer, identically for every plan source)."""
     program = loop_feeding_conditional(3)
     domain = ConstPropDomain()
     lattice = Lattice(domain)
@@ -256,9 +275,9 @@ def test_loop_unroll_mode():
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_corpus_with_caches_stacked(name):
-    """`repro.perf` caches on top of the optimized tier must not
-    change the (already cache-perturbed) statistics relative to the
-    baseline tier with the same caches."""
+    """`repro.perf` caches on top of a cached plan must not change the
+    (already cache-perturbed) statistics relative to a fresh plan with
+    the same caches."""
     domain = ConstPropDomain()
     program = PROGRAMS[name]
     lattice = Lattice(domain)
@@ -292,45 +311,65 @@ def test_random_open_terms(chunk):
 
 
 # ----------------------------------------------------------------------
-# Optimizer shape invariants
+# Plan shape: the compiler output is what runs
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_optimizer_preserves_plan_shape(name):
-    """The peephole passes specialize instructions in place: the pc
-    numbering, source-term labels, slot table, and constant pool are
-    untouched, so trace labels and error messages keep pointing at the
-    same program points on both tiers."""
+    """No pass sits between the compiler and the run: the plan a cache
+    serves is field-identical to a fresh compile (pc numbering,
+    source-term labels, slot table, constant pool, entry pcs), and
+    stays so after runs under several domains, so trace labels and
+    error messages point at the same program points on every run."""
+    cache = PlanCache()
     term = PROGRAMS[name].term
-    base = compile_anf_plan(term)
-    opt = optimize_anf_plan(compile_anf_plan(term))
-    assert len(opt.code) == len(base.code)
-    assert opt.entry_pc == base.entry_pc
-    assert opt.terms == base.terms
-    assert opt.slot_names == base.slot_names
-    assert opt.consts == base.consts
-    assert opt.entries == base.entries
-    assert opt.optimized and not base.optimized
-
+    initial_for = PROGRAMS[name].initial_for
     cterm = cps_transform(term)
+    for domain_cls in (ConstPropDomain, IntervalDomain):
+        domain = domain_cls()
+        lattice = Lattice(domain)
+        initial = initial_for(lattice)
+        _, cps_initial = _cps_side(term, lattice, initial)
+        _fingerprint(
+            lambda: DirectPlanAnalyzer(
+                term, domain, initial=initial, max_visits=BUDGET,
+                plan_cache=cache,
+            ).run()
+        )
+        _fingerprint(
+            lambda: SyntacticCpsPlanAnalyzer(
+                cterm, domain, initial=cps_initial, loop_mode="top",
+                max_visits=BUDGET, plan_cache=cache,
+            ).run()
+        )
+
+    anf = cache.anf_plan(term)
+    base = compile_anf_plan(term)
+    assert _plans_equal(anf, base)
+    assert len(anf.code) == len(base.code)
+    assert anf.entry_pc == base.entry_pc
+
+    cps = cache.cps_plan(cterm)
     cbase = compile_cps_plan(cterm)
-    copt = optimize_cps_plan(compile_cps_plan(cterm))
-    assert len(copt.code) == len(cbase.code)
-    assert copt.entry_pc == cbase.entry_pc
-    assert copt.terms == cbase.terms
-    assert copt.slot_names == cbase.slot_names
-    assert copt.consts == cbase.consts
-    assert copt.optimized and not cbase.optimized
+    assert _plans_equal(cps, cbase)
+    assert len(cps.code) == len(cbase.code)
+    assert cps.entry_pc == cbase.entry_pc
 
 
 def test_optimizer_is_idempotent():
+    """A second lookup returns the very plan object the first one
+    compiled: a hit, not a recompile or a rewrite."""
+    cache = PlanCache()
     term = PROGRAMS["factorial"].term
-    once = optimize_anf_plan(compile_anf_plan(term))
-    again = optimize_anf_plan(once)
+    once = cache.anf_plan(term)
+    again = cache.anf_plan(term)
     assert again is once
 
     cterm = cps_transform(term)
-    conce = optimize_cps_plan(compile_cps_plan(cterm))
-    cagain = optimize_cps_plan(conce)
+    conce = cache.cps_plan(cterm)
+    cagain = cache.cps_plan(cterm)
     assert cagain is conce
+    snap = cache.snapshot()
+    assert snap["misses"] == 2
+    assert snap["hits"] == 2

@@ -15,8 +15,6 @@ from repro.perf.bench import (
     SCHEMA,
     _engine_row,
     _incremental_row,
-    _plan_opt_row,
-    _plan_persist_row,
     _workload,
     summarize,
     validate_bench,
@@ -71,17 +69,6 @@ def make_payload() -> dict:
         tcc.initial_for(Lattice(ConstPropDomain())),
         repeat=2,
     )
-    persist_entry = _plan_persist_row(
-        "plan_persist/constants", program.term, repeat=2
-    )
-    plan_opt_entry = _plan_opt_row(
-        "plan_opt/constants",
-        "semantic-cps",
-        lambda tier: SemanticCpsPlanAnalyzer(
-            program.term, initial=initial, plan_tier=tier
-        ),
-        repeat=2,
-    )
     return {
         "schema": SCHEMA,
         "quick": True,
@@ -112,23 +99,6 @@ def make_payload() -> dict:
             ],
         },
         "incremental": [incr_entry],
-        "plan_persist": {
-            "cfg": "plan/1/2/1",
-            "rows": [persist_entry],
-            "total": {
-                "compile_s": (
-                    persist_entry["anf"]["compile_s"]
-                    + persist_entry["cps"]["compile_s"]
-                ),
-                "load_s": (
-                    persist_entry["anf"]["load_s"]
-                    + persist_entry["cps"]["load_s"]
-                ),
-                "speedup": persist_entry["speedup"],
-                "noise_exempt": persist_entry["noise_exempt"],
-            },
-        },
-        "plan_opt": [plan_opt_entry],
     }
 
 
@@ -310,65 +280,6 @@ class TestValidate:
         entry["edited"]["wall_s"] = 0.0002
         validate_bench(payload)
 
-    def test_missing_plan_persist_section_rejected(self):
-        payload = make_payload()
-        del payload["plan_persist"]
-        with pytest.raises(ValueError, match="plan_persist"):
-            validate_bench(payload)
-
-    def test_plan_persist_roundtrip_divergence_rejected(self):
-        # Field identity of the loaded plan is physics-independent.
-        payload = make_payload()
-        payload["plan_persist"]["rows"][0]["plans_equal"] = False
-        with pytest.raises(ValueError, match="loaded plan"):
-            validate_bench(payload)
-
-    def test_plan_persist_slow_load_rejected(self):
-        payload = make_payload()
-        entry = payload["plan_persist"]["rows"][0]
-        entry["anf"]["compile_s"] = 0.010
-        entry["anf"]["load_s"] = 0.020
-        with pytest.raises(ValueError, match="did not beat"):
-            validate_bench(payload)
-
-    def test_plan_persist_noise_floor_skips_per_kind_gate(self):
-        # A sub-millisecond compile is too small to gate a ratio on.
-        payload = make_payload()
-        entry = payload["plan_persist"]["rows"][0]
-        entry["anf"]["compile_s"] = 0.0001
-        entry["anf"]["load_s"] = 0.0002
-        validate_bench(payload)
-
-    def test_plan_persist_slow_total_rejected(self):
-        payload = make_payload()
-        total = payload["plan_persist"]["total"]
-        total["noise_exempt"] = False
-        total["compile_s"] = 0.010
-        total["load_s"] = 0.020
-        with pytest.raises(ValueError, match="cold compiles"):
-            validate_bench(payload)
-
-    def test_missing_plan_opt_section_rejected(self):
-        payload = make_payload()
-        del payload["plan_opt"]
-        with pytest.raises(ValueError, match="plan_opt"):
-            validate_bench(payload)
-
-    def test_plan_opt_divergence_rejected(self):
-        # The optimizer's bit-identity contract: always enforced,
-        # noise floor or not.
-        payload = make_payload()
-        payload["plan_opt"][0]["answers_equal"] = False
-        with pytest.raises(ValueError, match="diverged from the baseline"):
-            validate_bench(payload)
-
-    def test_plan_opt_missing_run_field_rejected(self):
-        payload = make_payload()
-        del payload["plan_opt"][0]["opt"]["run_s"]
-        with pytest.raises(ValueError, match="run_s"):
-            validate_bench(payload)
-
-
 class TestRoundTrip:
     def test_payload_is_json_round_trippable(self, tmp_path):
         payload = make_payload()
@@ -393,8 +304,6 @@ class TestRoundTrip:
         assert "pushdown/constants" in text
         assert "parallel random-open" in text
         assert "incremental/top-conditional-chain-4" in text
-        assert "plan_persist/constants" in text
-        assert "plan_opt/constants" in text
 
     def test_workload_answers_equal(self):
         # The real cached-vs-uncached comparison inside _workload.

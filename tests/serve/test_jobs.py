@@ -175,9 +175,17 @@ class TestValidation:
         assert info.value.code == "bad_request"
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ServeError) as info:
-            execute_request("analyze", {"program": "(add1 1)", "frob": 1})
-        assert info.value.code == "bad_request"
+        # The last two inputs name the removed plan-tier knob: old
+        # clients get a clear error, not a silently ignored field.
+        for kind, field in (
+            ("analyze", "frob"),
+            ("analyze", "plan_tier"),
+            ("compare", "plan_tier"),
+        ):
+            with pytest.raises(ServeError) as info:
+                execute_request(kind, {"program": "(add1 1)", field: "opt"})
+            assert info.value.code == "bad_request"
+            assert field in str(info.value)
 
     def test_bad_enum_rejected(self):
         with pytest.raises(ServeError) as info:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Precision, ThreeWayReport, prepare, THREE_WAY_ANALYZERS, run_comparison
+from repro import ComparisonReport, Precision, prepare, THREE_WAY_ANALYZERS, run_comparison
 from repro.anf import is_anf
 from repro.corpus import THEOREM_51_WITNESS
 from repro.domains import ParityDomain, UnitDomain
@@ -31,7 +31,7 @@ class TestPrepare:
 class TestRunThreeWay:
     def test_returns_report(self):
         report = run_comparison("(add1 1)", analyzers=THREE_WAY_ANALYZERS)
-        assert isinstance(report, ThreeWayReport)
+        assert isinstance(report, ComparisonReport)
         assert report.direct.value.num == 2
         assert report.semantic.value.num == 2
         assert report.syntactic.value.num == 2
