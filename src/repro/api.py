@@ -267,6 +267,8 @@ def run_comparison(
     if initial is None and isinstance(program, CorpusProgram):
         initial = program.initial_for(lattice)
     term = prepare(program)
+    # cps_transform validates the A term; the analyzers below reuse
+    # that check rather than re-walking the term once each.
     cps_term = cps_transform(term)
     cps_initial = dict(
         delta_store(AbsStore(lattice, initial)).items()
@@ -279,6 +281,7 @@ def run_comparison(
                 term,
                 domain,
                 initial=initial,
+                check=False,
                 max_visits=max_visits,
                 trace=trace,
                 metrics=metrics,
@@ -291,6 +294,7 @@ def run_comparison(
                 term,
                 domain,
                 initial=initial,
+                check=False,
                 loop_mode=loop_mode,
                 unroll_bound=unroll_bound,
                 max_visits=max_visits,
@@ -319,6 +323,7 @@ def run_comparison(
                 term,
                 domain,
                 initial=initial,
+                check=False,
                 max_visits=max_visits,
                 trace=trace,
                 metrics=metrics,

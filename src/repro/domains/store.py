@@ -7,7 +7,17 @@ all values bound to it.  Abstract stores are immutable and hashable:
 equality is how loops are recognized.
 
 Entries whose value is bottom are normalized away, so a store that
-never bound ``x`` equals one that bound it to bottom.
+never bound ``x`` equals one that bound it to bottom.  The public
+constructor establishes that invariant by checking every entry; the
+operations that derive a store from a bottom-free one (`joined_bind`,
+`join`, `restrict`, `SlotStore.to_abs_store`) keep it by construction
+and go through the private ``_trusted`` constructor instead, so a bind
+checks only the entry it touches.
+
+A store's hash is the sum of ``hash((name, value))`` over its entries,
+modulo 2**61.  The sum does not depend on iteration order, so equal
+tables hash equal, and `joined_bind` derives the child's hash from the
+parent's in O(1): subtract the old entry's hash, add the new one's.
 """
 
 from __future__ import annotations
@@ -15,6 +25,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.domains.absval import AbsVal, Lattice
+
+#: Modulus of the order-independent store hash.
+_HASH_MOD = 1 << 61
 
 
 class AbsStore:
@@ -35,6 +48,22 @@ class AbsStore:
                     cleaned[name] = value
         self._table = cleaned
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(
+        cls,
+        lattice: Lattice,
+        table: dict[str, AbsVal],
+        hash_: int | None = None,
+    ) -> "AbsStore":
+        """A store over ``table``, which must hold no bottom value and
+        is owned by the store from here on (never mutated again).
+        ``hash_``, when given, must equal the table's store hash."""
+        store = cls.__new__(cls)
+        store._lattice = lattice
+        store._table = table
+        store._hash = hash_
+        return store
 
     # ------------------------------------------------------------------
     # Reading
@@ -75,19 +104,40 @@ class AbsStore:
     ) -> "AbsStore":
         """The paper's ``sigma[x := sigma(x) u u]`` update.
 
+        Returns ``self`` exactly when ``name`` is bound and the join
+        leaves its value unchanged; the analyzers' widening counts and
+        the interner's counters depend on that identity.
+
         ``intern`` optionally canonicalizes the joined value before it
         enters the table (see `repro.perf.Interner`), so equal stores
         built along different paths share value objects.
         """
-        current = self.get(name)
-        joined = self._lattice.join(current, value)
-        if name in self._table and joined == current:
-            return self
+        lattice = self._lattice
+        table = self._table
+        current = table.get(name)
+        if current is None:
+            joined = lattice.join(lattice.bottom, value)
+        else:
+            joined = lattice.join(current, value)
+            if joined == current:
+                return self
         if intern is not None:
             joined = intern(joined)
-        table = dict(self._table)
+        parent_hash = hash(self)
+        if current is None:
+            if lattice.is_bottom(joined):
+                # Binding bottom to an unbound name: a fresh store,
+                # equal to this one.
+                return AbsStore._trusted(lattice, table, parent_hash)
+            child_hash = parent_hash + hash((name, joined))
+        else:
+            # The join of a non-bottom value is never bottom.
+            child_hash = (
+                parent_hash - hash((name, current)) + hash((name, joined))
+            )
+        table = dict(table)
         table[name] = joined
-        return AbsStore(self._lattice, table)
+        return AbsStore._trusted(lattice, table, child_hash % _HASH_MOD)
 
     def join(self, other: "AbsStore") -> "AbsStore":
         """Pointwise least upper bound of two stores."""
@@ -101,7 +151,7 @@ class AbsStore:
             table[name] = (
                 value if existing is None else self._lattice.join(existing, value)
             )
-        return AbsStore(self._lattice, table)
+        return AbsStore._trusted(self._lattice, table)
 
     def leq(self, other: "AbsStore") -> bool:
         """Pointwise order: every entry at least as precise in ``other``."""
@@ -118,7 +168,7 @@ class AbsStore:
         wanted = (
             names if isinstance(names, (set, frozenset)) else set(names)
         )
-        return AbsStore(
+        return AbsStore._trusted(
             self._lattice,
             {n: v for n, v in self._table.items() if n in wanted},
         )
@@ -135,9 +185,10 @@ class AbsStore:
         return self._table == other._table
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._table.items()))
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = sum(map(hash, self._table.items())) % _HASH_MOD
+        return h
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(
@@ -233,7 +284,7 @@ class SlotStore:
         """The equivalent name-keyed `AbsStore` (for results and the
         differential suite)."""
         lattice = self._lattice
-        return AbsStore(
+        return AbsStore._trusted(
             lattice,
             {
                 slot_names[i]: v

@@ -190,3 +190,77 @@ class TestAbsStore:
                 b = b.joined_bind(name, val(seed))
         assert a.join(b) == b.join(a)
         assert a.leq(a.join(b)) and b.leq(a.join(b))
+
+
+def _fresh(store: AbsStore) -> AbsStore:
+    """The same table through the public, normalizing constructor."""
+    return AbsStore(LAT, dict(store.items()))
+
+
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("bind"),
+            st.integers(0, 7),
+            st.integers(0, 4),
+            st.integers(0, 23),
+        ),
+        st.tuples(st.just("join"), st.integers(0, 7), st.integers(0, 7)),
+        st.tuples(
+            st.just("restrict"),
+            st.integers(0, 7),
+            st.frozensets(st.sampled_from([f"v{i}" for i in range(5)])),
+        ),
+    ),
+    max_size=30,
+)
+
+
+class TestStoreInvariants:
+    """Stores derived through the trusted internal constructor
+    (`joined_bind`, `join`, `restrict`) keep the invariants the public
+    constructor establishes: no bottom entry, and a cached hash equal
+    to the one a freshly built equal store computes."""
+
+    @staticmethod
+    def check(store: AbsStore) -> None:
+        assert not any(LAT.is_bottom(v) for _, v in store.items())
+        fresh = _fresh(store)
+        assert fresh == store
+        assert hash(fresh) == hash(store)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_STORE_OPS)
+    def test_derived_stores_keep_invariants(self, ops):
+        stores = [AbsStore(LAT)]
+        for op in ops:
+            store = stores[op[1] % len(stores)]
+            if op[0] == "bind":
+                name, seed = f"v{op[2]}", op[3]
+                # Seed 0 is a bottom value that is not LAT.bottom itself.
+                value = val(seed)
+                bound = name in store
+                current = store.get(name)
+                expect_same = bound and LAT.join(current, value) == current
+                result = store.joined_bind(name, value)
+                assert (result is store) == expect_same
+                if not bound and LAT.is_bottom(value):
+                    assert result == store
+            elif op[0] == "join":
+                result = store.join(stores[op[2] % len(stores)])
+            else:
+                result = store.restrict(op[2])
+                assert set(result.variables()) == set(store.variables()) & op[2]
+            self.check(result)
+            stores.append(result)
+        for a in stores:
+            for b in stores:
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    def test_bind_bottom_to_unbound_returns_fresh_equal_store(self):
+        store = AbsStore(LAT, {"y": LAT.of_const(1)})
+        result = store.joined_bind("x", AbsVal(BOT))
+        assert result is not store
+        assert result == store and hash(result) == hash(store)
+        assert "x" not in result

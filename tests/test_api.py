@@ -1,5 +1,12 @@
 """Tests for the top-level facade (`repro.api`)."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro import ComparisonReport, Precision, prepare, THREE_WAY_ANALYZERS, run_comparison
@@ -68,3 +75,62 @@ class TestRunThreeWay:
     def test_unit_domain_three_way_equal(self):
         report = run_comparison(THEOREM_51_WITNESS, domain=UnitDomain(), analyzers=THREE_WAY_ANALYZERS)
         assert report.semantic_vs_direct is Precision.EQUAL
+
+
+#: Child script for `TestHashSeedIndependence`: every corpus program
+#: plus two Section 6.2 chains, each analyzer run on its own (so a work
+#: budget stops one analyzer, not the row), printed as JSON with every
+#: value rendered through its sorted repr.
+_SEED_CHILD = textwrap.dedent(
+    """
+    import json
+    from repro.analysis.common import BudgetExceeded
+    from repro.api import run_comparison
+    from repro.corpus.programs import (
+        PROGRAMS, conditional_chain, top_conditional_chain,
+    )
+
+    programs = dict(PROGRAMS)
+    programs["conditional-chain-6"] = conditional_chain(6)
+    programs["top-conditional-chain-6"] = top_conditional_chain(6)
+    out = {}
+    for name, program in sorted(programs.items()):
+        for analyzer in ("direct", "semantic-cps", "syntactic-cps", "pushdown"):
+            try:
+                (result,) = run_comparison(
+                    program, analyzers=(analyzer,), loop_mode="top",
+                    max_visits=20_000,
+                ).results
+            except BudgetExceeded:
+                out[f"{name}/{analyzer}"] = "budget-exceeded"
+                continue
+            out[f"{name}/{analyzer}"] = [
+                repr(result.value),
+                sorted((n, repr(v)) for n, v in result.store.items()),
+                result.stats.as_dict(),
+            ]
+    print(json.dumps(out))
+    """
+)
+
+
+class TestHashSeedIndependence:
+    """Store hashes, and with them the iteration order of any set of
+    stores, change with ``PYTHONHASHSEED``; answers, stores and full
+    `AnalysisStats` must not."""
+
+    @staticmethod
+    def outcomes(seed: str) -> dict:
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SEED_CHILD],
+            capture_output=True, text=True, env=env, check=True, timeout=300,
+        )
+        return json.loads(proc.stdout)
+
+    def test_results_repeat_across_hash_seeds(self):
+        first, second = self.outcomes("0"), self.outcomes("1")
+        assert first == second
+        assert first["ackermann/syntactic-cps"] == "budget-exceeded"
+        assert first["theorem-5.1/direct"][2]["visits"] > 0
