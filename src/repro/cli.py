@@ -905,7 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--trace",
         metavar="FILE",
-        help="JSONL repro.obs trace sink (flushed on drain)",
+        help="JSONL repro.obs trace sink (flushed on drain; thread "
+        "worker model only)",
     )
     serve_parser.add_argument(
         "--access-log",
@@ -1435,7 +1436,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             slow_threshold_s=args.slow_threshold,
             incr_store=args.incr_store,
         )
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        trace.close()
         raise SystemExit(f"cannot start service: {exc}")
     print(f"listening on {service.url}", file=sys.stderr, flush=True)
     code = service.run_until_signal()

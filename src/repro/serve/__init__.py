@@ -8,7 +8,11 @@ analyzers warm in one long-lived process:
 - :mod:`repro.serve.jobs` — request validation and in-process
   execution (the same code path the server workers run);
 - :mod:`repro.serve.cache` — the cross-request LRU result cache;
-- :mod:`repro.serve.pool` — the bounded request queue + worker pool;
+- :mod:`repro.serve.pipeline` — the one request pipeline both worker
+  models run (prepare → caches → execute → serialize → timing);
+- :mod:`repro.serve.pool` — the bounded request queue + worker pool
+  (thread mode); :mod:`repro.serve.shard` — the analysis shard
+  processes (process mode);
 - :mod:`repro.serve.server` — ``POST /v1/analyze``, ``POST /v1/run``,
   ``POST /v1/compare``, ``GET /healthz``, ``GET /metricsz``;
 - :mod:`repro.serve.client` — a retrying client with exponential

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -59,6 +60,7 @@ from repro.lang.parser import parse
 from repro.lang.pretty import pretty_flat
 from repro.lang.syntax import free_variables
 from repro.lint import LINT_ANALYZERS, run_lints
+from repro.obs import trace as obs_trace
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import NULL_SINK, Sink
 from repro.serve.codes import ServeError, classify_exception
@@ -70,6 +72,11 @@ DOMAINS = {
     "sign": SignDomain,
     "interval": IntervalDomain,
 }
+
+#: How long a waiter outlasts the request deadline, so the worker's
+#: own timeout classification wins when the budget expires
+#: mid-execution.
+WAIT_GRACE_SECONDS = 2.0
 
 LOOP_MODES = ("reject", "top", "unroll")
 ENGINES = ("tree", "plan")
@@ -144,9 +151,21 @@ class Deadline:
         """Raise ``timeout`` if the budget is spent."""
         remaining = self.remaining()
         if remaining is not None and remaining <= 0:
-            raise ServeError(
-                "timeout", "request exceeded its wall-clock budget"
-            )
+            raise _timeout()
+
+    def join(self, done: threading.Event) -> None:
+        """Wait for ``done`` (a reply arriving from a worker) until the
+        budget plus `WAIT_GRACE_SECONDS` runs out; then raise
+        ``timeout``."""
+        remaining = self.remaining()
+        if not done.wait(
+            None if remaining is None else remaining + WAIT_GRACE_SECONDS
+        ):
+            raise _timeout()
+
+
+def _timeout() -> ServeError:
+    return ServeError("timeout", "request exceeded its wall-clock budget")
 
 
 @dataclass(frozen=True)
@@ -249,7 +268,10 @@ def _resolve_term(payload: dict) -> tuple[Term, CorpusProgram | None]:
             )
         return program.term, program
     _require(isinstance(source, str), "'program' must be source text")
-    return normalize(parse(source)), None
+    with obs_trace.span("prepare.parse"):
+        tree = parse(source)
+    with obs_trace.span("prepare.normalize"):
+        return normalize(tree), None
 
 
 def _resolve_assume(payload: dict) -> dict[str, int]:
@@ -325,7 +347,6 @@ def prepare_request(
         raise classify_exception(exc) from exc
     spec: dict = {
         "kind": kind,
-        "term": pretty_flat(term),
         "corpus": corpus.name if corpus is not None else None,
         "domain": _resolve_enum(
             payload, "domain", tuple(DOMAINS), "constprop"
@@ -401,11 +422,15 @@ def prepare_request(
         if client_hash is not None:
             not_modified = client_hash == term_hash(term)
     key = None
-    if sleep_ms == 0 and not not_modified:
-        digest = hashlib.sha256(
-            json.dumps(spec, sort_keys=True).encode("utf-8")
-        )
-        key = digest.hexdigest()
+    with obs_trace.span("prepare.key"):
+        # The canonical re-print is what makes whitespace and comment
+        # variants of one program share a key.
+        spec["term"] = pretty_flat(term)
+        if sleep_ms == 0 and not not_modified:
+            digest = hashlib.sha256(
+                json.dumps(spec, sort_keys=True).encode("utf-8")
+            )
+            key = digest.hexdigest()
     return PreparedRequest(
         kind=kind,
         term=term,
@@ -422,42 +447,6 @@ def cache_key(kind: str, payload: dict,
               defaults: ServiceDefaults | None = None) -> str | None:
     """The canonical cache key for a request (None = uncacheable)."""
     return prepare_request(kind, payload, defaults).key
-
-
-def splice_server_timing(
-    body: str, ctx, cache_status: str, total_s: float
-) -> str:
-    """Embed the per-request stage breakdown into a success body.
-
-    Cached bodies are stored *without* timings (they are per-request,
-    the result is not), so the splice happens after the cache — hit
-    and miss responses share one entry and the no-timing response
-    stays byte-identical to the in-process API.  Shared by the
-    thread-mode server and the multi-process shards, so both spell
-    ``server_timing`` identically.
-    """
-    trace = ctx.trace
-    timing = {
-        "trace_id": ctx.trace_id,
-        "cache": cache_status,
-        "total_s": round(total_s, 6),
-    }
-    for field_name, span_name in (
-        ("queue_wait_s", "queue.wait"),
-        ("plan_compile_s", "plan.compile"),
-        ("analyze_s", "execute"),
-        ("serialize_s", "serialize"),
-    ):
-        duration = trace.duration_of(span_name)
-        timing[field_name] = (
-            None if duration is None else round(duration, 6)
-        )
-    try:
-        payload = json.loads(body)
-        payload["server_timing"] = timing
-        return json.dumps(payload, ensure_ascii=False)
-    except (ValueError, TypeError):  # body must never be lost
-        return body
 
 
 def _analysis_initial(prep: PreparedRequest, lattice: Lattice) -> dict:
@@ -733,8 +722,6 @@ def execute_prepared(
 
     Failures surface as `ServeError` with their structured code.
     """
-    from repro.obs import trace as obs_trace
-
     deadline = deadline or Deadline(None)
     # A no-op outside an active request trace; under one, this is the
     # `analyze` stage of the server_timing breakdown, with the

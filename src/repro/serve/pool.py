@@ -1,16 +1,16 @@
-"""The bounded request queue and worker pool.
+"""The bounded request queue and worker pool (thread mode).
 
-Handler threads `submit` jobs; a fixed set of worker threads executes
-them.  A full queue rejects immediately with the structured
-``overloaded`` code — that is the server's backpressure signal, and the
-retrying client's cue to back off.  `drain` implements graceful
-shutdown: stop accepting, finish everything already queued or running,
-then join the workers.
+The pool only moves work: `WorkerPool.call` hands one request's execute
+step (`repro.serve.pipeline`) to a worker thread, under the caller's
+trace, and waits for the reply.  A full queue rejects immediately with
+the structured ``overloaded`` code — that is the server's backpressure
+signal, and the retrying client's cue to back off.  `drain` implements
+graceful shutdown: stop accepting, finish everything already queued or
+running, then join the workers.
 """
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
 import time
@@ -23,7 +23,7 @@ from repro.serve.jobs import Deadline
 
 
 class Job:
-    """One queued request: a thunk plus its completion state.
+    """One queued step plus its completion state.
 
     ``trace_ctx`` is the submitting thread's `repro.obs.trace` context;
     the worker activates it before running ``fn``, so every span the
@@ -32,7 +32,7 @@ class Job:
 
     def __init__(
         self,
-        fn: Callable[["Job"], tuple[int, str]],
+        fn: Callable[[Deadline], object],
         deadline: Deadline,
         trace_ctx: "obs_trace.TraceContext | None" = None,
     ) -> None:
@@ -41,23 +41,11 @@ class Job:
         self.trace_ctx = trace_ctx
         self.enqueued_at = time.monotonic()
         self.done = threading.Event()
-        self.status: int | None = None
-        self.body: str | None = None
-        self._abandoned = threading.Event()
-
-    def abandon(self) -> None:
-        """Mark the job as no longer awaited (its handler timed out);
-        a worker that has not started it yet will skip it."""
-        self._abandoned.set()
-
-    @property
-    def abandoned(self) -> bool:
-        return self._abandoned.is_set()
-
-    def finish(self, status: int, body: str) -> None:
-        self.status = status
-        self.body = body
-        self.done.set()
+        self.result = None
+        self.error: ServeError | None = None
+        #: Set when the caller stopped waiting (its deadline passed); a
+        #: worker that has not started the job yet skips it.
+        self.abandoned = False
 
 
 class WorkerPool:
@@ -93,11 +81,14 @@ class WorkerPool:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, job: Job) -> Job:
-        """Enqueue ``job``; raises ``overloaded`` when draining or
-        when the queue is full."""
+    def call(self, fn: Callable[[Deadline], object], deadline: Deadline):
+        """Submit-and-wait: run ``fn(deadline)`` on a worker thread and
+        return its result.  Raises ``overloaded`` when draining or when
+        the queue is full, ``timeout`` when ``deadline`` passes first,
+        and otherwise ``fn``'s own error, classified."""
         if self._closed.is_set():
             raise ServeError("overloaded", "server is draining")
+        job = Job(fn, deadline, trace_ctx=obs_trace.current())
         try:
             self._queue.put_nowait(job)
         except queue.Full:
@@ -107,7 +98,16 @@ class WorkerPool:
                 f"request queue is full ({self._queue.maxsize} pending)",
             ) from None
         self._gauge_depth()
-        return job
+        try:
+            deadline.join(job.done)
+        except ServeError:
+            job.abandoned = True
+            raise
+        if job.error is not None:
+            raise job.error
+        return job.result
+
+    # -- introspection -------------------------------------------------
 
     @property
     def queue_depth(self) -> int:
@@ -123,6 +123,24 @@ class WorkerPool:
     @property
     def draining(self) -> bool:
         return self._closed.is_set()
+
+    def describe(self) -> dict:
+        """This executor's part of the ``/healthz`` body."""
+        return {
+            "queue_depth": self.queue_depth,
+            "inflight": self.inflight,
+            "workers": self.workers,
+        }
+
+    def snapshot(self) -> dict:
+        """This executor's part of the ``/metricsz`` body."""
+        return {
+            "queue": {
+                "depth": self.queue_depth,
+                "inflight": self.inflight,
+                "draining": self.draining,
+            },
+        }
 
     # -- worker side ---------------------------------------------------
 
@@ -145,33 +163,19 @@ class WorkerPool:
             self._count("serve.jobs.abandoned")
             return
         wait = time.monotonic() - job.enqueued_at
-        if self.metrics is not None:
-            self.metrics.histogram("serve.queue.wait.seconds").observe(
-                wait
-            )
         with self._inflight_lock:
             self._inflight += 1
-        started = time.monotonic()
         try:
-            if job.trace_ctx is not None:
-                with obs_trace.activate(job.trace_ctx):
-                    obs_trace.record_span("queue.wait", wait)
-                    status, body = job.fn(job)
-            else:
-                status, body = job.fn(job)
+            with obs_trace.activate(job.trace_ctx):
+                obs_trace.record_span("queue.wait", wait)
+                job.result = job.fn(job.deadline)
         except BaseException as exc:  # the pool must never lose a job
-            error = classify_exception(exc)
-            status = error.error_code.http_status
-            body = json.dumps(error.payload(), ensure_ascii=False)
+            job.error = classify_exception(exc)
         finally:
             with self._inflight_lock:
                 self._inflight -= 1
-        if self.metrics is not None:
-            self.metrics.histogram("serve.request.seconds").observe(
-                time.monotonic() - started
-            )
         self._count("serve.jobs.executed")
-        job.finish(status, body)
+        job.done.set()
 
     # -- shutdown ------------------------------------------------------
 

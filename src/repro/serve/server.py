@@ -18,24 +18,29 @@ routes:
   p50/p90/p99 histogram quantiles), cache and queue statistics; with
   ``?format=prom``, the same registry in Prometheus text exposition.
 
-Two worker models execute the analysis:
+Every POST body runs through one pipeline
+(`repro.serve.pipeline.RequestPipeline`: prepare → response caches →
+execute → serialize → cache put → ``server_timing``), over one of two
+transports that only move requests and replies:
 
-- ``worker_model="thread"`` (default): handler threads enqueue jobs on
-  the bounded in-process `WorkerPool`;
+- ``worker_model="thread"`` (default): the handler thread answers cache
+  hits itself and hands the execute step of a miss to the bounded
+  in-process `WorkerPool`;
 - ``worker_model="process"``: requests are consistent-hash sharded on
   their cache key across N warm-forked analysis processes
-  (`repro.serve.shard.ShardedExecutor`), so CPU-bound analysis scales
-  past the GIL and each shard's response LRU + plan cache stays hot.
-  Responses are byte-identical to thread mode (test-enforced).
+  (`repro.serve.shard.ShardedExecutor`), each running the caches and
+  the execute step inline, so CPU-bound analysis scales past the GIL
+  and each shard's response LRU + plan cache stays hot.  Responses
+  are byte-identical to thread mode (test-enforced).
 
 Every POST carries a request-scoped trace (`repro.obs.trace`): the
 handler begins a trace from the incoming ``traceparent`` header (or
-mints a fresh one), the worker pool carries the context across the
-thread hop, and the response echoes the trace via a ``traceparent``
-header.  With ``"server_timing": true`` in the request body, the
-response embeds a stage breakdown (queue wait, plan compile, analyze,
-serialize).  When an access log is configured, each POST writes one
-JSONL record tied to the same trace id.
+mints a fresh one), the worker pool or shard carries the context
+across its hop, and the response echoes the trace via a
+``traceparent`` header.  With ``"server_timing": true`` in the request
+body, the response embeds a stage breakdown (prepare, queue wait, plan
+compile, analyze, serialize).  When an access log is configured, each
+POST writes one JSONL record tied to the same trace id.
 
 Graceful drain (SIGTERM/SIGINT via `run_until_signal`, or `drain()`
 programmatically): stop accepting new work (``overloaded``), finish
@@ -51,6 +56,7 @@ import signal
 import sys
 import threading
 import time
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
@@ -62,16 +68,10 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import NULL_SINK, Sink
 from repro.serve.accesslog import AccessLog
-from repro.serve.cache import PersistentResponseTier, ResultCache
-from repro.serve.codes import ServeError, classify_exception
-from repro.serve.jobs import (
-    Deadline,
-    ServiceDefaults,
-    execute_prepared,
-    prepare_request,
-    splice_server_timing,
-)
-from repro.serve.pool import Job, WorkerPool
+from repro.serve.codes import ServeError
+from repro.serve.jobs import ServiceDefaults
+from repro.serve.pipeline import Reply, RequestPipeline, error_reply
+from repro.serve.pool import WorkerPool
 from repro.serve.shard import ShardedExecutor
 
 _POST_ROUTES = {
@@ -83,10 +83,6 @@ _POST_ROUTES = {
 
 #: Upper bound on ``POST /v1/batch`` fan-out per request.
 MAX_BATCH_REQUESTS = 64
-
-#: Handler-side grace on top of the job deadline, so the worker's own
-#: timeout classification wins when the budget expires mid-execution.
-_WAIT_GRACE_SECONDS = 2.0
 
 
 class _LockedSink:
@@ -110,15 +106,6 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
-def _error_code_of(body: str | None) -> str:
-    """The structured error code inside an error body (``internal``
-    when the body is not the expected shape)."""
-    try:
-        return json.loads(body)["error"]["code"]
-    except Exception:
-        return "internal"
-
-
 class _DrainableHTTPServer(ThreadingHTTPServer):
     """`ThreadingHTTPServer` whose ``server_close`` joins handler
     threads, so drain really waits for in-flight responses to be
@@ -129,7 +116,7 @@ class _DrainableHTTPServer(ThreadingHTTPServer):
 
 
 class AnalysisService:
-    """One service instance: cache + pool + HTTP server.
+    """One service instance: request pipeline + executor + HTTP server.
 
     ``port=0`` binds an ephemeral port; read the resolved one from
     ``.port`` after construction.
@@ -156,6 +143,14 @@ class AnalysisService:
                 "worker_model must be 'thread' or 'process', "
                 f"got {worker_model!r}"
             )
+        if worker_model == "process" and trace.enabled:
+            # Shards have no way to reach this process's sink, so the
+            # promised events would silently never arrive.
+            raise ValueError(
+                "a trace sink (--trace) needs worker_model='thread' "
+                "(--worker-model thread): shard processes cannot write "
+                "to it"
+            )
         self.defaults = defaults or ServiceDefaults()
         self.metrics = metrics if metrics is not None else Metrics()
         self.trace = _LockedSink(trace)
@@ -168,36 +163,44 @@ class AnalysisService:
         # The dispatcher keeps its own connection for introspection
         # (`/healthz`, `/metricsz`) in both modes; thread mode also
         # executes through it.  Shards open their own after forking.
-        self.incr_store_path = incr_store
         self.incr_store = open_store(incr_store)
-        self._response_tier = (
-            PersistentResponseTier(self.incr_store)
-            if self.incr_store is not None
-            else None
-        )
         if worker_model == "process":
             # Shard processes must fork before this process grows
             # threads (the HTTP serve loop, handler threads): forking
             # a threaded parent risks inheriting held locks.
-            self.sharded: ShardedExecutor | None = ShardedExecutor(
-                shards=workers,
-                queue_size=queue_size,
-                cache_size=cache_size,
-                defaults=self.defaults,
-                metrics=self.metrics,
-                incr_store=incr_store,
+            self.executor: "WorkerPool | ShardedExecutor" = (
+                ShardedExecutor(
+                    shards=workers,
+                    queue_size=queue_size,
+                    cache_size=cache_size,
+                    defaults=self.defaults,
+                    metrics=self.metrics,
+                    incr_store=incr_store,
+                )
             )
-            self.cache = None
-            self.pool = None
+            # The shards own the caches and the store connections the
+            # lookup and execute steps use.
+            self.pipeline = RequestPipeline(
+                self.defaults, self.metrics, cache_size=0
+            )
+            self._respond = self.executor.respond
         else:
-            self.sharded = None
-            self.cache = ResultCache(
-                cache_size, metrics=self.metrics, trace=self.trace
-            )
-            self.pool = WorkerPool(
+            self.executor = WorkerPool(
                 workers=workers,
                 queue_size=queue_size,
                 metrics=self.metrics,
+            )
+            self.pipeline = RequestPipeline(
+                self.defaults,
+                self.metrics,
+                cache_size,
+                trace=self.trace,
+                incr_store=self.incr_store,
+            )
+            # Hits are answered on the handler thread; only a miss's
+            # execute step moves to a worker.
+            self._respond = partial(
+                self.pipeline.respond, run=self.executor.call
             )
         self.verbose = verbose
         self.started_at = time.monotonic()
@@ -336,8 +339,7 @@ class AnalysisService:
     # -- request processing -------------------------------------------
 
     def process(self, kind: str, payload: dict) -> tuple[int, str]:
-        """Run one POST body through cache → queue → worker (thread
-        mode) or through its shard process (process mode); returns
+        """Run one POST body through the request pipeline; returns
         ``(http_status, response_body)``."""
         ctx = obs_trace.current()
         if ctx is None:
@@ -345,33 +347,9 @@ class AnalysisService:
             # give them a trace anyway so logs and timings still work.
             ctx = obs_trace.begin_trace()
         with obs_trace.activate(ctx):
-            started = time.perf_counter()
-            if self.sharded is not None:
-                status, body, prep, cache_status, remote = (
-                    self._process_sharded(kind, payload, ctx)
-                )
-            else:
-                status, body, prep, cache_status = self._process_traced(
-                    kind, payload
-                )
-                remote = None
-            total_s = time.perf_counter() - started
-            if (
-                remote is None
-                and prep is not None
-                and prep.server_timing
-                and status == 200
-            ):
-                # Process mode splices shard-side (where the spans
-                # live); thread mode splices here.
-                body = self._splice_server_timing(
-                    body, ctx, cache_status, total_s
-                )
-            self._log_access(
-                kind, status, body, prep, cache_status, total_s, ctx,
-                remote=remote,
-            )
-        return status, body
+            reply = self.pipeline.handle(kind, payload, self._respond)
+            self._log_access(kind, reply, ctx)
+        return reply.status, reply.body
 
     def process_batch(self, payload: dict) -> tuple[int, str]:
         """``POST /v1/batch``: many request bodies through one
@@ -443,207 +421,42 @@ class AnalysisService:
             "results": results,
         })
 
-    def _process_sharded(
-        self, kind: str, payload: dict, ctx
-    ) -> "tuple[int, str, object, str, dict | None]":
-        """The process-mode pipeline: validate here (errors answered
-        without a process hop), route by cache key, wait for the
-        shard's reply.  Returns ``(status, body, prep, cache_status,
-        shard_meta_or_None)``."""
-        try:
-            prep = prepare_request(kind, payload, self.defaults)
-        except ServeError as error:
-            status, body = self._error_response(error)
-            return status, body, None, "bypass", None
-        except Exception as exc:  # defensive: validation must not 500
-            status, body = self._error_response(classify_exception(exc))
-            return status, body, None, "bypass", None
-        cache_status = "miss" if prep.cacheable else "bypass"
-        deadline = Deadline(self.defaults.timeout_seconds)
-        traceparent = obs_trace.format_traceparent(
-            ctx.trace_id, ctx.span_id or obs_trace.new_span_id()
-        )
-        try:
-            waiter = self.sharded.submit(
-                prep.key, kind, payload, traceparent,
-                deadline.expires_at,
-            )
-        except ServeError as error:
-            status, body = self._error_response(error)
-            return status, body, prep, cache_status, None
-        remaining = deadline.remaining()
-        finished = waiter.done.wait(
-            timeout=None
-            if remaining is None
-            else remaining + _WAIT_GRACE_SECONDS
-        )
-        if not finished:
-            status, body = self._error_response(
-                ServeError(
-                    "timeout", "request exceeded its wall-clock budget"
-                )
-            )
-            return status, body, prep, cache_status, None
-        meta = waiter.meta or {}
-        cache_status = meta.get("cache", cache_status)
-        if waiter.status == 200:
-            self._count("serve.responses.ok")
-        else:
-            self._count(
-                f"serve.responses.error.{_error_code_of(waiter.body)}"
-            )
-        if self.metrics is not None and meta.get("total_s") is not None:
-            self.metrics.histogram("serve.request.seconds").observe(
-                meta["total_s"]
-            )
-            if meta.get("queue_wait_s") is not None:
-                self.metrics.histogram(
-                    "serve.queue.wait.seconds"
-                ).observe(meta["queue_wait_s"])
-        return waiter.status, waiter.body, prep, cache_status, meta
-
-    def _process_traced(
-        self, kind: str, payload: dict
-    ) -> "tuple[int, str, object, str]":
-        """The cache → queue → worker pipeline, returning
-        ``(status, body, prepared_request_or_None, cache_status)``."""
-        try:
-            prep = prepare_request(kind, payload, self.defaults)
-        except ServeError as error:
-            status, body = self._error_response(error)
-            return status, body, None, "bypass"
-        except Exception as exc:  # defensive: validation must not 500
-            status, body = self._error_response(classify_exception(exc))
-            return status, body, None, "bypass"
-        cache_status = "miss" if prep.cacheable else "bypass"
-        tier = self._response_tier
-        lru_key = prep.key
-        if prep.cacheable and tier is not None:
-            # Folding the store generation into the in-memory key
-            # invalidates LRU entries when a gc rewrites the store.
-            lru_key = tier.lru_key(prep.key)
-        if prep.cacheable:
-            with obs_trace.span("cache.lookup", kind=prep.kind):
-                cached = self.cache.get(lru_key)
-                if cached is None and tier is not None:
-                    cached = tier.get(prep.key)
-                    if cached is not None:
-                        self.cache.put(lru_key, cached)
-            if cached is not None:
-                self._count("serve.responses.ok")
-                return 200, cached, prep, "hit"
-        deadline = Deadline(self.defaults.timeout_seconds)
-
-        def run(job: Job) -> tuple[int, str]:
-            job.deadline.check()
-            response = execute_prepared(
-                prep,
-                deadline=job.deadline,
-                trace=self.trace,
-                metrics=self.metrics,
-                incr_store=self.incr_store,
-            )
-            with obs_trace.span("serialize"):
-                body = _dumps(response)
-            if prep.cacheable:
-                self.cache.put(lru_key, body)
-                if tier is not None:
-                    tier.put(prep.key, body)
-            return 200, body
-
-        job = Job(run, deadline, trace_ctx=obs_trace.current())
-        try:
-            self.pool.submit(job)
-        except ServeError as error:
-            status, body = self._error_response(error)
-            return status, body, prep, cache_status
-        remaining = deadline.remaining()
-        finished = job.done.wait(
-            timeout=None
-            if remaining is None
-            else remaining + _WAIT_GRACE_SECONDS
-        )
-        if not finished:
-            job.abandon()
-            status, body = self._error_response(
-                ServeError(
-                    "timeout", "request exceeded its wall-clock budget"
-                )
-            )
-            return status, body, prep, cache_status
-        if job.status == 200:
-            self._count("serve.responses.ok")
-        else:
-            self._count(
-                f"serve.responses.error.{_error_code_of(job.body)}"
-            )
-        return job.status, job.body, prep, cache_status
-
-    def _splice_server_timing(
-        self,
-        body: str,
-        ctx: "obs_trace.TraceContext",
-        cache_status: str,
-        total_s: float,
-    ) -> str:
-        """Thread-mode splice (shared helper in `repro.serve.jobs`;
-        the shards run the same function on their side)."""
-        return splice_server_timing(body, ctx, cache_status, total_s)
-
     def _log_access(
-        self,
-        kind: str,
-        status: int,
-        body: str,
-        prep,
-        cache_status: str,
-        total_s: float,
-        ctx: "obs_trace.TraceContext",
-        remote: dict | None = None,
+        self, kind: str, reply: Reply, ctx: "obs_trace.TraceContext"
     ) -> None:
-        """One access-log record per request.  In process mode the
-        spans and stage timings come from the shard's reply metadata
-        (``remote``); in thread mode from this process's trace."""
+        """One access-log record per request, from its trace (a
+        shard's spans have joined it by now)."""
         if self.access_log is None:
             return
         trace = ctx.trace
+        prep = reply.prep
         spec = prep.spec if prep is not None else {}
-        if remote is not None:
-            queue_wait_s = remote.get("queue_wait_s")
-            exec_s = remote.get("exec_s")
-            spans = remote.get("spans") or []
-        else:
-            queue_wait_s = trace.duration_of("queue.wait")
-            exec_s = trace.duration_of("execute")
-            spans = trace.as_dicts()
         try:
             self.access_log.record(
                 trace_id=ctx.trace_id,
                 route=f"/v1/{kind}",
                 kind=kind,
-                status=status,
-                error=None
-                if status < 400
-                else _error_code_of(body),
-                cache=cache_status,
+                status=reply.status,
+                error=reply.error,
+                cache=reply.cache,
                 analyzer=spec.get("analyzer"),
                 engine=spec.get("engine"),
                 domain=spec.get("domain"),
                 corpus=spec.get("corpus"),
-                queue_wait_s=queue_wait_s,
-                exec_s=exec_s,
-                total_s=round(total_s, 6),
+                queue_wait_s=trace.duration_of("queue.wait"),
+                exec_s=trace.duration_of("execute"),
+                total_s=round(reply.total_s, 6),
                 request=prep.replay_payload()
                 if prep is not None
                 else None,
-                spans=spans,
+                spans=trace.as_dicts(),
             )
         except Exception:  # logging must never fail a request
             self._count("serve.access_log.errors")
 
     def _error_response(self, error: ServeError) -> tuple[int, str]:
         self._count(f"serve.responses.error.{error.code}")
-        return error.error_code.http_status, _dumps(error.payload())
+        return error_reply(error)
 
     # -- introspection -------------------------------------------------
 
@@ -651,45 +464,19 @@ class AnalysisService:
         """The ``/healthz`` body.  Process mode adds per-shard worker
         pids, queue depths, and liveness."""
         uptime = round(time.monotonic() - self.started_at, 3)
-        if self.sharded is not None:
-            depth = self.sharded.queue_depth
-            body = {
-                "status": "draining" if self.sharded.draining else "ok",
-                "version": __version__,
-                "pid": os.getpid(),
-                "worker_model": "process",
-                "queue_depth": depth,
-                "inflight": depth,
-                "workers": self.sharded.shards,
-                "shard_respawns": self.sharded.respawns,
-                "shards": self.sharded.describe(),
-                "uptime_s": uptime,
-                "uptime_seconds": uptime,
-            }
-            body["incr_store"] = (
-                self._incr_store_health()
-                if self.incr_store is not None
-                else None
-            )
-            return body
-        body = {
-            "status": "draining" if self.pool.draining else "ok",
+        return {
+            "status": "draining" if self.executor.draining else "ok",
             "version": __version__,
             "pid": os.getpid(),
-            "worker_model": "thread",
-            "queue_depth": self.pool.queue_depth,
-            "inflight": self.pool.inflight,
-            "workers": self.pool.workers,
+            "worker_model": self.worker_model,
+            **self.executor.describe(),
             "uptime_s": uptime,
             # pre-v2 spelling, kept for old scrapers
             "uptime_seconds": uptime,
-        }
-        body["incr_store"] = (
-            self._incr_store_health()
+            "incr_store": self._incr_store_health()
             if self.incr_store is not None
-            else None
-        )
-        return body
+            else None,
+        }
 
     def _incr_store_health(self) -> dict:
         """The dispatcher-side view of the shared store file for
@@ -730,46 +517,16 @@ class AnalysisService:
         ``shards``."""
         from repro.machine.absplan import PLAN_CACHE
 
-        if self.sharded is not None:
-            shards = self.sharded.stats()
-            cache = {"hits": 0, "misses": 0, "evictions": 0, "size": 0,
-                     "capacity": 0}
-            for shard in shards:
-                for field, value in (shard.get("cache") or {}).items():
-                    if field in cache:
-                        cache[field] += value
-            body = {
-                "metrics": self.metrics.snapshot(quantiles=True),
-                "worker_model": "process",
-                "cache": cache,
-                "plan_cache": PLAN_CACHE.snapshot(),
-                "shards": shards,
-                "queue": {
-                    "depth": self.sharded.queue_depth,
-                    "inflight": self.sharded.queue_depth,
-                    "draining": self.sharded.draining,
-                    "respawns": self.sharded.respawns,
-                },
-            }
-            body["incr_store"] = (
-                self._incr_store_block(shards)
-                if self.incr_store is not None
-                else None
-            )
-            return body
         body = {
             "metrics": self.metrics.snapshot(quantiles=True),
-            "worker_model": "thread",
-            "cache": self.cache.snapshot(),
+            "worker_model": self.worker_model,
+            # replaced by the shards' caches in process mode
+            "cache": self.pipeline.cache.snapshot(),
             "plan_cache": PLAN_CACHE.snapshot(),
-            "queue": {
-                "depth": self.pool.queue_depth,
-                "inflight": self.pool.inflight,
-                "draining": self.pool.draining,
-            },
+            **self.executor.snapshot(),
         }
         body["incr_store"] = (
-            self._incr_store_block()
+            self._incr_store_block(body.get("shards"))
             if self.incr_store is not None
             else None
         )
@@ -779,20 +536,16 @@ class AnalysisService:
         """The ``/metricsz?format=prom`` text body.  Queue state is
         folded into gauges at scrape time so the exposition is
         self-contained."""
-        if self.sharded is not None:
-            depth = self.sharded.queue_depth
-            inflight = depth
-        else:
-            depth = self.pool.queue_depth
-            inflight = self.pool.inflight
-        self.metrics.gauge("serve.queue.depth").set(depth)
-        self.metrics.gauge("serve.inflight").set(inflight)
+        self.metrics.gauge("serve.queue.depth").set(
+            self.executor.queue_depth
+        )
+        self.metrics.gauge("serve.inflight").set(self.executor.inflight)
         self.metrics.gauge("serve.uptime.seconds").set(
             round(time.monotonic() - self.started_at, 3)
         )
         if self.incr_store is not None:
             block = self._incr_store_block(
-                self.sharded.stats() if self.sharded is not None else None
+                self.executor.snapshot().get("shards")
             )
             for name in (
                 "bytes", "entries", "generation", "gc_runs",
@@ -817,10 +570,7 @@ class AnalysisService:
         loop, flush the trace sink.  Idempotent."""
         if self._drained.is_set():
             return True
-        if self.sharded is not None:
-            clean = self.sharded.drain(timeout=timeout)
-        else:
-            clean = self.pool.drain(timeout=timeout)
+        clean = self.executor.drain(timeout=timeout)
         self.httpd.shutdown()
         self.httpd.server_close()
         self.trace.close()

@@ -2,8 +2,13 @@
 
 The thread-mode service executes analysis on worker *threads*, so the
 GIL caps CPU-bound throughput at roughly one core.  `ShardedExecutor`
-promotes execution to N long-lived worker *processes* on the
-`repro.perf.pool` warm-fork substrate:
+is the process-mode transport for the request pipeline
+(`repro.serve.pipeline`): N long-lived worker *processes* on the
+`repro.perf.pool` warm-fork substrate, each with its own
+`RequestPipeline`.  The dispatcher runs the pipeline's prepare,
+``server_timing`` and metrics steps; the shard runs the lookup,
+execute, serialize and cache-put steps inline.  The executor itself
+only moves requests and replies:
 
 - **Consistent-hash sharding.**  The dispatcher routes each request by
   its canonical cache key (`repro.serve.jobs.prepare_request` — the
@@ -11,12 +16,6 @@ promotes execution to N long-lived worker *processes* on the
   same program × options always lands on the same shard, so that
   shard's response LRU and `PLAN_CACHE` stay hot; uncacheable
   requests (debug hooks) round-robin.
-- **Shard-local state.**  Each shard owns its own `ResultCache`,
-  `Metrics` registry, and (fork-inherited, then privately growing)
-  `PLAN_CACHE`.  Responses are produced by the exact same
-  ``prepare → cache → execute → serialize`` pipeline as thread mode,
-  so sharded bodies are byte-identical to single-process ones
-  (test-enforced).
 - **One duplex pipe per shard.**  Handler threads submit under a send
   lock; a per-shard reader thread routes replies back to per-request
   waiters by request id.  Backpressure is per shard: more than
@@ -29,17 +28,18 @@ promotes execution to N long-lived worker *processes* on the
 - **Graceful drain.**  Stop accepting, wait for in-flight replies,
   send each shard its sentinel, join; stragglers are terminated.
 
-Per-request tracing crosses the process hop the same way it crosses
-the thread hop: the dispatcher forwards its ``traceparent``, the shard
+Per-request tracing crosses the process hop the way it crosses the
+thread hop: the dispatcher forwards its ``traceparent``, the shard
 begins a trace from it, and the shard's spans (queue wait, cache
-lookup, plan compile, execute, serialize) come back in the reply
-metadata for the dispatcher's access log and ``server_timing``.
+lookup, plan compile, execute, serialize) come back in the reply and
+join the dispatcher's trace, where the access log and
+``server_timing`` read them.  Trace *events* do not cross: a service
+with a trace sink refuses the process model.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import os
 import signal
@@ -50,19 +50,14 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import Metrics
 from repro.incr.store import open_store
 from repro.perf.pool import warm_analysis_caches
-from repro.serve.cache import PersistentResponseTier, ResultCache
-from repro.serve.codes import ServeError, classify_exception
+from repro.serve.codes import ServeError
 from repro.serve.jobs import (
     Deadline,
+    PreparedRequest,
     ServiceDefaults,
-    execute_prepared,
     prepare_request,
-    splice_server_timing,
 )
-
-
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, ensure_ascii=False)
+from repro.serve.pipeline import RequestPipeline, error_reply
 
 
 def shard_index(key: str | None, shards: int, fallback: int) -> int:
@@ -78,95 +73,37 @@ def shard_index(key: str | None, shards: int, fallback: int) -> int:
 
 
 def _shard_request(
+    pipeline: RequestPipeline,
     kind: str,
     payload: dict,
     traceparent: str | None,
     enqueued_at: float,
     deadline_at: float | None,
-    defaults: ServiceDefaults,
-    cache: ResultCache,
-    metrics: Metrics,
-    incr_store=None,
 ) -> tuple[int, str, dict]:
-    """One request through the shard-local prepare → cache → execute →
-    serialize pipeline; returns ``(status, body, meta)``."""
+    """One request through the shard's lookup and execute steps, inline;
+    returns ``(status, body, meta)`` with the spans in ``meta``."""
+    # CLOCK_MONOTONIC is shared across processes on Linux, so the
+    # dispatcher's enqueue stamp prices the pipe+queue wait here.
+    wait = max(0.0, time.monotonic() - enqueued_at)
     ctx = obs_trace.begin_trace(traceparent)
-    cache_status = "bypass"
-    prep = None
-    with obs_trace.activate(ctx):
-        started = time.perf_counter()
-        # CLOCK_MONOTONIC is shared across processes on Linux, so the
-        # dispatcher's enqueue stamp prices the pipe+queue wait here.
-        wait = max(0.0, time.monotonic() - enqueued_at)
-        obs_trace.record_span("queue.wait", wait)
-        try:
-            prep = prepare_request(kind, payload, defaults)
-        except ServeError as error:
-            status = error.error_code.http_status
-            body = _dumps(error.payload())
-        except Exception as exc:  # defensive: validation must not 500
-            error = classify_exception(exc)
-            status = error.error_code.http_status
-            body = _dumps(error.payload())
-        else:
-            cache_status = "miss" if prep.cacheable else "bypass"
-            tier = (
-                PersistentResponseTier(incr_store)
-                if incr_store is not None
-                else None
-            )
-            lru_key = prep.key
-            if prep.cacheable and tier is not None:
-                # A gc bumps the store generation; folding it into the
-                # LRU key orphans entries filled before the sweep.
-                lru_key = tier.lru_key(prep.key)
-            cached = None
-            if prep.cacheable:
-                with obs_trace.span("cache.lookup", kind=prep.kind):
-                    cached = cache.get(lru_key)
-                    if cached is None and tier is not None:
-                        cached = tier.get(prep.key)
-                        if cached is not None:
-                            cache.put(lru_key, cached)
-            if cached is not None:
-                status, body, cache_status = 200, cached, "hit"
-            else:
-                remaining = (
+    hit = False
+    try:
+        # Outside the trace: the dispatcher already timed this step.
+        prep = prepare_request(kind, payload, pipeline.defaults)
+        with obs_trace.activate(ctx):
+            obs_trace.record_span("queue.wait", wait)
+            status, body, hit = pipeline.respond(
+                prep,
+                payload,
+                Deadline(
                     None
                     if deadline_at is None
                     else deadline_at - time.monotonic()
-                )
-                deadline = Deadline(remaining)
-                try:
-                    deadline.check()
-                    response = execute_prepared(
-                        prep, deadline=deadline, metrics=metrics,
-                        incr_store=incr_store,
-                    )
-                    with obs_trace.span("serialize"):
-                        body = _dumps(response)
-                    if prep.cacheable:
-                        cache.put(lru_key, body)
-                        if tier is not None:
-                            tier.put(prep.key, body)
-                    status = 200
-                except BaseException as exc:
-                    error = classify_exception(exc)
-                    status = error.error_code.http_status
-                    body = _dumps(error.payload())
-        total_s = time.perf_counter() - started
-        if prep is not None and prep.server_timing and status == 200:
-            body = splice_server_timing(body, ctx, cache_status, total_s)
-    trace = ctx.trace
-    metrics.histogram("serve.request.seconds").observe(total_s)
-    meta = {
-        "cache": cache_status,
-        "queue_wait_s": trace.duration_of("queue.wait"),
-        "exec_s": trace.duration_of("execute"),
-        "total_s": round(total_s, 6),
-        "spans": trace.as_dicts(),
-    }
-    return status, body, meta
+                ),
+            )
+    except Exception as exc:
+        status, body = error_reply(exc)
+    return status, body, {"hit": hit, "spans": ctx.trace.as_dicts()}
 
 
 def _shard_main(
@@ -189,8 +126,9 @@ def _shard_main(
     # one shared file.
     incr_store = open_store(incr_store_path)
     warm_analysis_caches()
-    metrics = Metrics()
-    cache = ResultCache(cache_size, metrics=metrics)
+    pipeline = RequestPipeline(
+        defaults, Metrics(), cache_size, incr_store=incr_store
+    )
     processed = 0
     while True:
         try:
@@ -210,7 +148,7 @@ def _shard_main(
                     "index": index,
                     "pid": os.getpid(),
                     "processed": processed,
-                    "cache": cache.snapshot(),
+                    "cache": pipeline.cache.snapshot(),
                     "plan_cache": PLAN_CACHE.snapshot(),
                     "incr_store": (
                         None
@@ -222,8 +160,7 @@ def _shard_main(
         else:
             _, req_id, kind, payload, traceparent, t_enq, t_dead = message
             status, body, meta = _shard_request(
-                kind, payload, traceparent, t_enq, t_dead,
-                defaults, cache, metrics, incr_store,
+                pipeline, kind, payload, traceparent, t_enq, t_dead
             )
             processed += 1
             reply = ("res", req_id, status, body, meta)
@@ -322,7 +259,7 @@ class ShardedExecutor:
             # copy-on-write instead of re-importing them.
             warm_analysis_caches()
         self._ctx = multiprocessing.get_context(start_method)
-        self.shards = shards
+        self.workers = shards
         self.respawns = 0
         self._draining = False
         self._lock = threading.Lock()  # guards respawn + req ids
@@ -378,17 +315,12 @@ class ShardedExecutor:
     def _heal(self, handle: _ShardHandle) -> None:
         """The shard died: fail its in-flight requests with the
         retryable ``worker_crashed`` code and respawn it."""
-        error = ServeError(
+        status, body = error_reply(ServeError(
             "worker_crashed",
             f"analysis worker for shard {handle.index} died mid-request",
-        )
-        body = _dumps(error.payload())
+        ))
         for waiter in handle.take_all_pending():
-            waiter.finish(
-                error.error_code.http_status,
-                body,
-                {"cache": "bypass", "spans": []},
-            )
+            waiter.finish(status, body, {"hit": False, "spans": []})
         with self._lock:
             if self._draining or self._handles[handle.index] is not handle:
                 return  # already replaced (or shutting down)
@@ -405,7 +337,7 @@ class ShardedExecutor:
     # -- submission ----------------------------------------------------
 
     def shard_for(self, key: str | None) -> int:
-        return shard_index(key, self.shards, next(self._round_robin))
+        return shard_index(key, self.workers, next(self._round_robin))
 
     def submit(
         self,
@@ -453,6 +385,27 @@ class ShardedExecutor:
             ) from None
         return waiter
 
+    def respond(
+        self, prep: PreparedRequest, payload: dict, deadline: Deadline
+    ) -> tuple[int, str, bool]:
+        """Submit-and-wait: ``payload`` through its shard's lookup and
+        execute steps; returns ``(status, body, hit)``.  The shard's
+        spans join the caller's trace."""
+        ctx = obs_trace.current()
+        traceparent = None
+        if ctx is not None:
+            traceparent = obs_trace.format_traceparent(
+                ctx.trace_id, ctx.span_id or obs_trace.new_span_id()
+            )
+        waiter = self.submit(
+            prep.key, prep.kind, payload, traceparent, deadline.expires_at
+        )
+        deadline.join(waiter.done)
+        if ctx is not None:
+            for record in waiter.meta["spans"]:
+                ctx.trace.add(obs_trace.SpanRecord(**record))
+        return waiter.status, waiter.body, waiter.meta["hit"]
+
     # -- introspection -------------------------------------------------
 
     @property
@@ -461,20 +414,59 @@ class ShardedExecutor:
 
     @property
     def queue_depth(self) -> int:
+        """Requests outstanding on any shard (queued or running)."""
         return sum(handle.depth for handle in self._handles)
 
-    def describe(self) -> list[dict]:
-        """Cheap parent-side shard facts for ``/healthz``."""
-        return [
-            {
-                "index": handle.index,
-                "pid": handle.pid,
-                "alive": handle.process.is_alive(),
-                "pending": handle.depth,
-                "processed": handle.processed,
-            }
-            for handle in self._handles
-        ]
+    @property
+    def inflight(self) -> int:
+        # The dispatcher cannot tell a shard's queue from its running
+        # request; both count as outstanding.
+        return self.queue_depth
+
+    def describe(self) -> dict:
+        """This executor's part of the ``/healthz`` body: cheap
+        parent-side shard facts, no shard round-trips."""
+        depth = self.queue_depth
+        return {
+            "queue_depth": depth,
+            "inflight": depth,
+            "workers": self.workers,
+            "shard_respawns": self.respawns,
+            "shards": [
+                {
+                    "index": handle.index,
+                    "pid": handle.pid,
+                    "alive": handle.process.is_alive(),
+                    "pending": handle.depth,
+                    "processed": handle.processed,
+                }
+                for handle in self._handles
+            ],
+        }
+
+    def snapshot(self) -> dict:
+        """This executor's part of the ``/metricsz`` body: the shard
+        result caches summed into one ``cache`` block (so dashboards
+        keep one hit rate), and each shard's own statistics."""
+        shards = self.stats()
+        cache = dict.fromkeys(
+            ("hits", "misses", "evictions", "size", "capacity"), 0
+        )
+        for shard in shards:
+            for name, value in (shard.get("cache") or {}).items():
+                if name in cache:
+                    cache[name] += value
+        depth = self.queue_depth
+        return {
+            "cache": cache,
+            "shards": shards,
+            "queue": {
+                "depth": depth,
+                "inflight": depth,
+                "draining": self.draining,
+                "respawns": self.respawns,
+            },
+        }
 
     def stats(self, timeout_s: float = 1.0) -> list[dict]:
         """Per-shard cache/plan-cache statistics for ``/metricsz``.

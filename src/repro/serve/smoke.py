@@ -1,7 +1,9 @@
-"""End-to-end smoke harness: ``python -m repro.serve.smoke``.
+"""End-to-end smoke harness:
+``python -m repro.serve.smoke [--worker-model thread|process]``.
 
-Starts a real server subprocess on an ephemeral port, then exercises
-the acceptance path the CI ``serve-smoke`` job pins:
+Starts a real server subprocess on an ephemeral port (thread worker
+model unless told otherwise), then exercises the acceptance path the
+CI ``serve-smoke`` job pins under both worker models:
 
 1. ``GET /healthz`` answers ``ok``;
 2. one ``POST /v1/analyze`` matches the in-process analyzer
@@ -16,6 +18,7 @@ Exits nonzero with a message on the first failed check.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import signal
@@ -75,8 +78,13 @@ def start_server(extra_args: list[str] | None = None) -> tuple:
     return process, url
 
 
-def main() -> int:
-    process, url = start_server()
+def main(argv: "list[str] | tuple[str, ...]" = ()) -> int:
+    parser = argparse.ArgumentParser(prog="python -m repro.serve.smoke")
+    parser.add_argument(
+        "--worker-model", choices=("thread", "process"), default="thread"
+    )
+    args = parser.parse_args(list(argv))
+    process, url = start_server(["--worker-model", args.worker_model])
     drainer = None
     try:
         client = ServiceClient(
@@ -144,6 +152,7 @@ def main() -> int:
         json.dumps(
             {
                 "ok": True,
+                "worker_model": args.worker_model,
                 "cache_hits": cache["hits"],
                 "retries": client.retries_performed,
             }
@@ -153,4 +162,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

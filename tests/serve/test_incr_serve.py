@@ -201,17 +201,39 @@ class TestGenerationInvalidation:
         try:
             client = make_client(svc)
             reference = client.analyze(corpus="even-odd", analyzer="direct")
-            lru_hits = svc.cache.hits
+            lru_hits = svc.pipeline.cache.hits
             client.analyze(corpus="even-odd", analyzer="direct")
-            assert svc.cache.hits == lru_hits + 1
+            assert svc.pipeline.cache.hits == lru_hits + 1
             with IncrStore(store_path) as admin:
                 admin.gc(max_bytes=0)
             body = client.analyze(corpus="even-odd", analyzer="direct")
             # Same bytes (recomputed), but not from the pre-gc LRU key.
             assert body == reference
-            assert svc.cache.misses > 0
+            assert svc.pipeline.cache.misses > 0
         finally:
             svc.drain(timeout=10)
+
+
+class TestTierLifetime:
+    def test_tier_is_built_once_per_service(self, store_path, monkeypatch):
+        from repro.serve import pipeline
+
+        built = []
+
+        class CountingTier(pipeline.PersistentResponseTier):
+            def __init__(self, store):
+                built.append(store)
+                super().__init__(store)
+
+        monkeypatch.setattr(pipeline, "PersistentResponseTier", CountingTier)
+        svc = make_service(store_path)
+        try:
+            client = make_client(svc)
+            for corpus in ("constants", "even-odd", "constants"):
+                client.analyze(corpus=corpus, analyzer="direct")
+        finally:
+            svc.drain(timeout=10)
+        assert len(built) == 1
 
 
 class TestProcessModel:

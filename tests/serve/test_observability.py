@@ -91,6 +91,20 @@ class TestTracePropagation:
             span["trace_id"] for span in record["spans"]
         } == {record["trace_id"]}
 
+    def test_prepare_stages_are_spans(self, service, log_buffer):
+        _, body, _ = post(service, "/v1/analyze", {
+            "program": unique_program("obs_prepare_a"),
+            "server_timing": True,
+        })
+        (record,) = log_records(log_buffer)
+        by_name = {span["name"]: span for span in record["spans"]}
+        prepare = by_name["prepare"]
+        for stage in ("prepare.parse", "prepare.normalize", "prepare.key"):
+            assert by_name[stage]["parent_id"] == prepare["span_id"]
+        assert body["server_timing"]["prepare_s"] == round(
+            prepare["duration_s"], 6
+        )
+
     def test_inbound_traceparent_continues_the_trace(
         self, service, log_buffer
     ):
@@ -214,7 +228,7 @@ class TestServerTiming:
         })
         timing = body["server_timing"]
         assert set(timing) == {
-            "trace_id", "cache", "total_s", "queue_wait_s",
+            "trace_id", "cache", "total_s", "prepare_s", "queue_wait_s",
             "plan_compile_s", "analyze_s", "serialize_s",
         }
         assert timing["cache"] == "miss"
@@ -257,6 +271,23 @@ class TestServerTiming:
         timing = timed["server_timing"]
         assert timing["queue_wait_s"] is None
         assert timing["analyze_s"] is None
+
+
+@pytest.mark.parametrize("worker_model", ["thread", "process"])
+def test_request_histogram_counts_every_post(worker_model):
+    # one miss, then one hit: both are requests, in both worker models
+    svc = AnalysisService(port=0, workers=1, worker_model=worker_model)
+    try:
+        payload = {"corpus": "constants", "analyzer": "direct"}
+        post(svc, "/v1/analyze", payload)
+        post(svc, "/v1/analyze", payload)
+        with urllib.request.urlopen(f"{svc.url}/metricsz") as r:
+            body = json.loads(r.read())
+    finally:
+        svc.drain(timeout=15)
+    hist = body["metrics"]["histograms"]["serve.request.seconds"]
+    assert hist["count"] == 2
+    assert body["cache"]["hits"] == 1
 
 
 class TestPrometheusEndpoint:

@@ -196,7 +196,7 @@ class TestDrain:
 
     def test_submissions_during_drain_are_overloaded(self):
         svc = AnalysisService(port=0, workers=1, queue_size=1)
-        svc.pool._closed.set()  # simulate the drain flag flipping first
+        svc.executor._closed.set()  # simulate the drain flag flipping first
         status, body = svc.process("run", {"program": "(add1 1)"})
         assert status == 503
         assert "overloaded" in body

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.obs import RecordingSink
 from repro.serve.client import RetryPolicy, ServiceClient, ServiceError
 from repro.serve.jobs import ServiceDefaults
 from repro.serve.server import AnalysisService
@@ -79,23 +80,60 @@ IDENTITY_REQUESTS = [
                  "engine": "plan"}),  # engine_unsupported
     ("analyze", {"corpus": "no-such-program"}),
     ("run", {}),
+    # the one pipeline: the eval cache on, and server_timing requests
+    # (their per-request block is compared by key set only)
+    ("analyze", {"corpus": "even-odd", "analyzer": "semantic-cps",
+                 "cache": True}),
+    ("analyze", {"corpus": "factorial", "analyzer": "direct",
+                 "server_timing": True}),
+    ("compare", {"corpus": "theorem-5.1", "server_timing": True}),
+    ("analyze", {"program": "(oops", "server_timing": True}),
 ]
+
+
+def comparable(status: int, body: str) -> tuple:
+    """``(status, body, timing keys)`` with a ``server_timing`` block
+    stripped from the body: its values are per request, its shape is
+    not."""
+    payload = json.loads(body)
+    timing = payload.pop("server_timing", None)
+    if timing is None:
+        return status, body, None
+    return status, json.dumps(payload, ensure_ascii=False), set(timing)
+
+
+def assert_worker_models_agree(thread_svc, process_svc) -> None:
+    for kind, payload in IDENTITY_REQUESTS:
+        thread_reply = thread_svc.process(kind, dict(payload))
+        process_reply = process_svc.process(kind, dict(payload))
+        assert comparable(*thread_reply) == comparable(*process_reply), (
+            f"{kind} {payload} diverged between worker models"
+        )
 
 
 class TestByteIdentity:
     def test_sharded_bodies_match_thread_mode(self, process_service):
         thread_svc = AnalysisService(port=0, workers=2)
         try:
-            for kind, payload in IDENTITY_REQUESTS:
-                t_status, t_body = thread_svc.process(kind, dict(payload))
-                p_status, p_body = process_service.process(
-                    kind, dict(payload)
-                )
-                assert (t_status, t_body) == (p_status, p_body), (
-                    f"{kind} {payload} diverged between worker models"
-                )
+            assert_worker_models_agree(thread_svc, process_service)
         finally:
             thread_svc.drain(timeout=10)
+
+    def test_pair_sharing_an_incr_store_matches(self, tmp_path):
+        # The thread server fills the persistent tier first, so the
+        # shards answer from it: tier-served bodies must equal
+        # executed ones.
+        store = str(tmp_path / "incr.sqlite")
+        process_svc = AnalysisService(
+            port=0, workers=2, worker_model="process", incr_store=store
+        )
+        thread_svc = AnalysisService(port=0, workers=2, incr_store=store)
+        try:
+            assert_worker_models_agree(thread_svc, process_svc)
+            assert process_svc.metricsz()["incr_store"]["hits"] > 0
+        finally:
+            thread_svc.drain(timeout=10)
+            process_svc.drain(timeout=15)
 
     def test_repeat_hits_the_shard_cache(self, process_service, client):
         before = client.metricsz()["cache"]["hits"]
@@ -321,6 +359,27 @@ class TestDrain:
                 process.wait()
             if process.stderr is not None:
                 process.stderr.close()
+
+
+class TestTraceSink:
+    def test_process_model_refuses_a_trace_sink(self):
+        # shards cannot reach the sink, so its events would silently
+        # never arrive
+        with pytest.raises(ValueError, match="worker_model='thread'"):
+            AnalysisService(
+                port=0, worker_model="process", trace=RecordingSink()
+            )
+
+    def test_cli_reports_it_at_startup(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main([
+                "serve", "--port", "0", "--worker-model", "process",
+                "--trace", str(tmp_path / "trace.jsonl"),
+            ])
+        assert "cannot start service" in str(info.value.code)
+        assert "--worker-model thread" in str(info.value.code)
 
 
 class TestAccessLogRemoteSpans:
