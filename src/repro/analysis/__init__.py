@@ -15,8 +15,9 @@ formal-relationship tooling (Section 5).
 - :mod:`repro.analysis.compare` — precision comparisons (Theorems
   5.1, 5.2, 5.4, 5.5);
 - :mod:`repro.analysis.registry` — the canonical analyzer-name
-  vocabulary shared by the CLI, the serve layer, the survey, and the
-  lint engine.
+  vocabulary and the one ``(name, engine)`` dispatch table
+  (`build_analyzer`/`run_analyzer`) every front end runs an analyzer
+  through.
 
 All analyzers are parametric in the number domain (see
 :mod:`repro.domains`) and detect loops exactly as Section 4.4
@@ -54,12 +55,10 @@ from repro.analysis.compare import (
 from repro.analysis.delta import delta_answer, delta_store, delta_value
 from repro.analysis.direct import DirectAnalyzer, analyze_direct
 from repro.analysis.engine import (
-    ENGINES,
     DirectPlanAnalyzer,
     PolyvariantPlanAnalyzer,
     SemanticCpsPlanAnalyzer,
     SyntacticCpsPlanAnalyzer,
-    check_engine,
 )
 from repro.analysis.polyvariant import (
     PolyvariantDirectAnalyzer,
@@ -71,11 +70,16 @@ from repro.analysis.registry import (
     ALIASES,
     ANALYZERS,
     COMPARISON_ANALYZERS,
+    ENGINES,
     INTERPRETERS,
     LINT_ANALYZERS,
     PLAN_ANALYZERS,
     analyzer_choices,
+    analyzer_class,
+    build_analyzer,
     canonical_analyzer,
+    check_engine,
+    run_analyzer,
 )
 from repro.analysis.result import AnalysisResult
 from repro.analysis.semantic_cps import SemanticCpsAnalyzer, analyze_semantic_cps
@@ -118,7 +122,10 @@ __all__ = [
     "LINT_ANALYZERS",
     "PLAN_ANALYZERS",
     "analyzer_choices",
+    "analyzer_class",
+    "build_analyzer",
     "canonical_analyzer",
+    "run_analyzer",
     "PolyvariantDirectAnalyzer",
     "PolyvariantResult",
     "analyze_polyvariant",

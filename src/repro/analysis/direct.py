@@ -33,6 +33,7 @@ from repro.analysis.common import (
     closures_of_term,
     recursion_headroom,
 )
+from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
 from repro.anf.validate import validate_anf
 from repro.domains.absval import AbsVal, Lattice
@@ -298,21 +299,7 @@ def analyze_direct(
     arrays of :mod:`repro.machine.absplan` — same judgments, same
     answer, same statistics (differentially tested).
     """
-    if engine != "tree":
-        from repro.analysis.engine import DirectPlanAnalyzer, check_engine
-
-        check_engine(engine)
-        return DirectPlanAnalyzer(
-            term,
-            domain,
-            initial,
-            check,
-            max_visits,
-            trace=trace,
-            metrics=metrics,
-            cache=cache,
-        ).run()
-    return DirectAnalyzer(
+    return analyzer_class("direct", engine)(
         term,
         domain,
         initial,

@@ -15,9 +15,11 @@ the tuple-backed `SlotStore`:
   name-keyed store.
 
 Select an engine with ``engine="plan"`` on the ``analyze_*`` entry
-points (``"tree"``, the default, is the reference implementation; the
-differential suite in ``tests/analysis/test_engine_differential.py``
-pins bit-identical answers and statistics between the two).
+points or `repro.analysis.registry.build_analyzer`, whose
+``(name, engine)`` table maps to these classes (``"tree"``, the
+default, is the reference implementation; the differential suite in
+``tests/analysis/test_engine_differential.py`` pins bit-identical
+answers and statistics between the two).
 
 The polyvariant engine keeps the `AbsStore` keyed by ``(variable,
 context)`` pairs — its location space is not dense — but still gains
@@ -85,19 +87,6 @@ from repro.machine.absplan import (
 from repro.obs.events import StoreWidened
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import Sink
-
-#: The available analysis engines.  ``"tree"`` interprets the AST (the
-#: reference semantics, Figures 4-6 verbatim); ``"plan"`` runs the
-#: compiled instruction arrays of `repro.machine.absplan`.
-ENGINES = ("tree", "plan")
-
-
-def check_engine(engine: str) -> str:
-    """Validate an engine name."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
-
 
 def _anf_plan_for(term: Term, plan_cache: PlanCache | None):
     """The `AnfPlan` for ``term``, through the cache when one is

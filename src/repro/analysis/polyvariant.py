@@ -48,6 +48,7 @@ from repro.analysis.common import (
     WorkBudgetMixin,
     recursion_headroom,
 )
+from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
 from repro.anf.validate import validate_anf
 from repro.domains.absval import AbsVal, Lattice
@@ -512,18 +513,7 @@ def analyze_polyvariant(
     ``engine="plan"`` runs the compiled-plan implementation (same
     judgments and statistics; see :mod:`repro.analysis.engine`).
     """
-    if engine != "tree":
-        from repro.analysis.engine import (
-            PolyvariantPlanAnalyzer,
-            check_engine,
-        )
-
-        check_engine(engine)
-        return PolyvariantPlanAnalyzer(
-            term, domain, k, initial, check, max_visits,
-            trace=trace, metrics=metrics, cache=cache,
-        ).run()
-    return PolyvariantDirectAnalyzer(
+    return analyzer_class("polyvariant", engine)(
         term, domain, k, initial, check, max_visits,
         trace=trace, metrics=metrics, cache=cache,
     ).run()

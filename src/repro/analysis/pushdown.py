@@ -75,11 +75,11 @@ from repro.analysis.common import (
     AAnswer,
     AbsClo,
     AnalysisStats,
-    EngineUnsupported,
     WorkBudgetMixin,
     abstract_value,
     recursion_headroom,
 )
+from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
 from repro.anf.validate import validate_anf
 from repro.domains.absval import AbsVal, Lattice
@@ -410,12 +410,7 @@ def analyze_pushdown(
     compiled instruction offsets) — callers that speak the serve enum
     vocabulary surface it as ``engine_unsupported``.
     """
-    if engine != "tree":
-        from repro.analysis.engine import check_engine
-
-        check_engine(engine)
-        raise EngineUnsupported("pushdown", engine)
-    return PushdownAnalyzer(
+    return analyzer_class("pushdown", engine)(
         term,
         domain,
         initial,

@@ -42,6 +42,7 @@ from repro.analysis.common import (
     closures_of_term,
     recursion_headroom,
 )
+from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
 from repro.anf.validate import validate_anf
 from repro.domains.absval import AbsVal, Lattice
@@ -360,18 +361,7 @@ def analyze_semantic_cps(
     ``engine="plan"`` runs the compiled-plan implementation (same
     judgments and statistics; see :mod:`repro.analysis.engine`).
     """
-    if engine != "tree":
-        from repro.analysis.engine import (
-            SemanticCpsPlanAnalyzer,
-            check_engine,
-        )
-
-        check_engine(engine)
-        return SemanticCpsPlanAnalyzer(
-            term, domain, initial, loop_mode, unroll_bound, check,
-            max_visits=max_visits, trace=trace, metrics=metrics, cache=cache,
-        ).run()
-    return SemanticCpsAnalyzer(
+    return analyzer_class("semantic-cps", engine)(
         term, domain, initial, loop_mode, unroll_bound, check,
         max_visits=max_visits, trace=trace, metrics=metrics, cache=cache,
     ).run()

@@ -38,6 +38,7 @@ from repro.analysis.common import (
     konts_of_term,
     recursion_headroom,
 )
+from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
 from repro.cps.ast import (
     CApp,
@@ -401,18 +402,7 @@ def analyze_syntactic_cps(
     ``engine="plan"`` runs the compiled-plan implementation (same
     judgments and statistics; see :mod:`repro.analysis.engine`).
     """
-    if engine != "tree":
-        from repro.analysis.engine import (
-            SyntacticCpsPlanAnalyzer,
-            check_engine,
-        )
-
-        check_engine(engine)
-        return SyntacticCpsPlanAnalyzer(
-            term, domain, initial, top_kvar, loop_mode, unroll_bound, check,
-            max_visits=max_visits, trace=trace, metrics=metrics, cache=cache,
-        ).run()
-    return SyntacticCpsAnalyzer(
+    return analyzer_class("syntactic-cps", engine)(
         term, domain, initial, top_kvar, loop_mode, unroll_bound, check,
         max_visits=max_visits, trace=trace, metrics=metrics, cache=cache,
     ).run()

@@ -10,9 +10,10 @@ This is the entry point most downstream users want::
     report.pushdown_vs_direct            # Precision.LEFT_MORE_PRECISE
 
 Accepts raw source text, arbitrary A terms (normalized on the fly), or
-`CorpusProgram` records, and handles the δe transport of the initial
-store to the CPS side.  `run_comparison` is N-way over the canonical
-comparison analyzers (`repro.analysis.registry.COMPARISON_ANALYZERS`).
+`CorpusProgram` records.  `run_comparison` is N-way over the canonical
+comparison analyzers (`repro.analysis.registry.COMPARISON_ANALYZERS`),
+each built by the registry's one dispatch, which also carries the
+initial store to the CPS side by δe.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.analysis.common import EngineUnsupported
 from repro.analysis.compare import (
     Precision,
     compare_direct_to_cps,
@@ -29,13 +29,14 @@ from repro.analysis.compare import (
     compare_semantic_to_direct,
     compare_semantic_to_syntactic,
 )
-from repro.analysis.delta import delta_store
-from repro.analysis.direct import analyze_direct
-from repro.analysis.pushdown import analyze_pushdown
-from repro.analysis.registry import COMPARISON_ANALYZERS, canonical_analyzer
+from repro.analysis.registry import (
+    COMPARISON_ANALYZERS,
+    analyzer_class,
+    build_analyzer,
+    canonical_analyzer,
+    engine_analyzers,
+)
 from repro.analysis.result import AnalysisResult
-from repro.analysis.semantic_cps import analyze_semantic_cps
-from repro.analysis.syntactic_cps import analyze_syntactic_cps
 from repro.anf import is_anf, normalize
 from repro.corpus.programs import CorpusProgram
 from repro.cps import cps_transform
@@ -43,9 +44,9 @@ from repro.cps.ast import CTerm
 from repro.domains.absval import AbsVal, Lattice
 from repro.domains.constprop import ConstPropDomain
 from repro.domains.protocol import NumDomain
-from repro.domains.store import AbsStore
 from repro.lang.ast import Term, TERM_CLASSES
 from repro.lang.parser import parse
+from repro.lang.syntax import free_variables
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import NULL_SINK, Sink
 
@@ -69,6 +70,25 @@ def prepare(program: "str | Term | CorpusProgram") -> Term:
     if is_anf(program):
         return program
     return normalize(program)
+
+
+def analysis_initial(
+    term: Term,
+    lattice: Lattice,
+    assume: Mapping[str, int],
+    base: Mapping[str, AbsVal] | None = None,
+) -> dict[str, AbsVal]:
+    """The initial abstract store for analyzing the open program
+    ``term``: ``base`` (e.g. a corpus entry's assumptions), then each
+    free variable named in ``assume`` as that constant, and ⊤ for every
+    other free variable ``base`` leaves out."""
+    initial = dict(base or {})
+    for name in sorted(free_variables(term)):
+        if name in assume:
+            initial[name] = lattice.of_const(assume[name])
+        elif name not in initial:
+            initial[name] = lattice.of_num(lattice.domain.top)
+    return initial
 
 
 @dataclass(frozen=True)
@@ -181,6 +201,27 @@ class ComparisonReport:
             )
         return "\n".join(lines)
 
+    def to_dict(self) -> dict:
+        """The comparison as JSON (the ``repro analyze --json`` and
+        ``/v1/compare`` bodies): the three classic results, their
+        verdicts, and the pushdown result and verdict when it ran."""
+        body = {
+            "direct": self.direct.to_dict(),
+            "semantic_cps": self.semantic.to_dict(),
+            "syntactic_cps": self.syntactic.to_dict(),
+            "verdicts": {
+                "direct_vs_syntactic": self.direct_vs_syntactic.value,
+                "semantic_vs_direct": self.semantic_vs_direct.value,
+                "semantic_vs_syntactic": self.semantic_vs_syntactic.value,
+            },
+        }
+        if self.pushdown is not None:
+            body["pushdown"] = self.pushdown.to_dict()
+            body["verdicts"]["pushdown_vs_direct"] = (
+                self.pushdown_vs_direct.value
+            )
+        return body
+
     def work_summary(self) -> str:
         """A per-analyzer table of the obs work counters — the paper's
         direct-vs-CPS cost comparison (Section 6.2) on this program."""
@@ -250,87 +291,58 @@ def run_comparison(
         A `ComparisonReport` with the results and pairwise verdicts.
     """
     if analyzers is None:
-        selected = (
-            COMPARISON_ANALYZERS
-            if engine == "tree"
-            else THREE_WAY_ANALYZERS
-        )
+        # Every comparison analyzer the engine has (pushdown is
+        # tree-only).
+        wanted = engine_analyzers(engine)
     else:
-        selected = tuple(
+        wanted = {
             canonical_analyzer(name, COMPARISON_ANALYZERS)
             for name in analyzers
-        )
-        if "pushdown" in selected and engine != "tree":
-            raise EngineUnsupported("pushdown", engine)
+        }
+        for name in wanted:
+            # An unsupported pair fails before any analyzer runs.
+            analyzer_class(name, engine)
+    # Each at most once, in canonical order.
+    selected = tuple(name for name in COMPARISON_ANALYZERS if name in wanted)
     domain = domain if domain is not None else ConstPropDomain()
-    lattice = Lattice(domain)
     if initial is None and isinstance(program, CorpusProgram):
-        initial = program.initial_for(lattice)
+        initial = program.initial_for(Lattice(domain))
     term = prepare(program)
-    # cps_transform validates the A term; the analyzers below reuse
-    # that check rather than re-walking the term once each.
-    cps_term = cps_transform(term)
-    cps_initial = dict(
-        delta_store(AbsStore(lattice, initial)).items()
+    options = dict(
+        engine=engine,
+        domain=domain,
+        initial=initial,
+        loop_mode=loop_mode,
+        unroll_bound=unroll_bound,
+        max_visits=max_visits,
+        trace=trace,
+        metrics=metrics,
+        cache=cache,
     )
-    span = metrics.span if metrics is not None else nullcontext
-    direct = semantic = syntactic = pushdown = None
-    if "direct" in selected:
-        with span("analyze.direct"):
-            direct = analyze_direct(
-                term,
-                domain,
-                initial=initial,
-                check=False,
-                max_visits=max_visits,
-                trace=trace,
-                metrics=metrics,
-                cache=cache,
-                engine=engine,
-            )
-    if "semantic-cps" in selected:
-        with span("analyze.semantic-cps"):
-            semantic = analyze_semantic_cps(
-                term,
-                domain,
-                initial=initial,
-                check=False,
-                loop_mode=loop_mode,
-                unroll_bound=unroll_bound,
-                max_visits=max_visits,
-                trace=trace,
-                metrics=metrics,
-                cache=cache,
-                engine=engine,
-            )
+    # One cps_transform per program, and it validates the A term: the
+    # syntactic-CPS analyzer is built first, so the direct-style
+    # analyzers below reuse that check (check=False).
+    prebuilt = {}
     if "syntactic-cps" in selected:
-        with span("analyze.syntactic-cps"):
-            syntactic = analyze_syntactic_cps(
-                cps_term,
-                domain,
-                initial=cps_initial,
-                loop_mode=loop_mode,
-                unroll_bound=unroll_bound,
-                max_visits=max_visits,
-                trace=trace,
-                metrics=metrics,
-                cache=cache,
-                engine=engine,
-            )
-    if "pushdown" in selected:
-        with span("analyze.pushdown"):
-            pushdown = analyze_pushdown(
-                term,
-                domain,
-                initial=initial,
-                check=False,
-                max_visits=max_visits,
-                trace=trace,
-                metrics=metrics,
-                cache=cache,
-                engine=engine,
-            )
+        prebuilt["syntactic-cps"] = build_analyzer(
+            "syntactic-cps", term, **options
+        )
+        cps_term = prebuilt["syntactic-cps"].term
+    else:
+        cps_term = cps_transform(term)
+    span = metrics.span if metrics is not None else nullcontext
+    results = {}
+    for name in selected:
+        with span(f"analyze.{name}"):
+            # Popped, so a finished analyzer is not kept alive through
+            # the later runs.
+            analyzer = prebuilt.pop(name, None)
+            if analyzer is None:
+                analyzer = build_analyzer(name, term, check=False, **options)
+            results[name] = analyzer.run()
+    # The report's result fields follow COMPARISON_ANALYZERS order.
     return ComparisonReport(
-        term, cps_term, direct, semantic, syntactic, pushdown
+        term,
+        cps_term,
+        *(results.get(name) for name in COMPARISON_ANALYZERS),
     )
-

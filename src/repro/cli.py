@@ -14,11 +14,18 @@ Commands
 - ``lint``     run the `repro.lint` diagnostics engine (syntactic
   rules plus analyzer-powered semantic rules)
 - ``graph``    print the call or flow graph as Graphviz DOT
+- ``report``   regenerate the EXPERIMENTS.md measured tables
+- ``survey``   tabulate analysis verdicts over program populations
 - ``bench``    run the `repro.perf` regression benchmark and write
   ``BENCH_perf.json``
+- ``compile``  compile to bytecode and run on the abstract machine
+- ``dataflow`` run the classical MFP/MOP solvers over the flow graph
 - ``corpus``   list the corpus program names and families
 - ``serve``    start the `repro.serve` HTTP/JSON analysis service
 - ``request``  query a running service (retrying client)
+- ``loadgen``  drive a ``repro serve`` instance and write
+  ``BENCH_serve.json``
+- ``cachectl`` inspect and manage the persistent `repro.incr` store
 
 Interpreter and analyzer failures exit with the structured
 `repro.serve` codes (``fuel_exhausted`` = 3, ``diverged`` = 4,
@@ -43,16 +50,18 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.analysis import analyze_polyvariant
 from repro.anf import normalize
+from repro.analysis.common import LOOP_MODES
 from repro.analysis.registry import (
     ANALYZERS,
+    ENGINES,
     INTERPRETERS,
     LINT_ANALYZERS,
     analyzer_choices,
     canonical_analyzer,
+    run_analyzer,
 )
-from repro.api import run_comparison
+from repro.api import analysis_initial, run_comparison
 from repro.cfg import (
     build_call_graph,
     build_flow_graph,
@@ -60,29 +69,13 @@ from repro.cfg import (
     flow_graph_to_dot,
 )
 from repro.cps import cps_pretty, cps_transform
-from repro.domains import (
-    ConstPropDomain,
-    IntervalDomain,
-    Lattice,
-    ParityDomain,
-    SignDomain,
-    UnitDomain,
-)
+from repro.domains import DOMAINS, ConstPropDomain, Lattice
 from repro.interp import run_direct, run_semantic_cps, run_syntactic_cps
 from repro.interp.values import Env, Store
 from repro.lang import parse, pretty
 from repro.lang.syntax import free_variables
 from repro.obs import NULL_SINK, JsonlSink, Metrics, RecordingSink
 from repro.opt import optimize
-
-DOMAINS = {
-    "constprop": ConstPropDomain,
-    "unit": UnitDomain,
-    "parity": ParityDomain,
-    "sign": SignDomain,
-    "interval": IntervalDomain,
-}
-
 
 def _load_term(args: argparse.Namespace):
     if args.expr is not None:
@@ -164,16 +157,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analysis_initial(term, lattice: Lattice, assumes: dict[str, int]):
-    initial = {}
-    for name in free_variables(term):
-        if name in assumes:
-            initial[name] = lattice.of_const(assumes[name])
-        else:
-            initial[name] = lattice.of_num(lattice.domain.top)
-    return initial
-
-
 def _print_metrics_snapshot(metrics: Metrics) -> None:
     import json
 
@@ -185,18 +168,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     term = _load_term(args)
     domain = DOMAINS[args.domain]()
     lattice = Lattice(domain)
-    initial = _analysis_initial(term, lattice, _parse_assumes(args.assume))
+    initial = analysis_initial(term, lattice, _parse_assumes(args.assume))
     metrics = Metrics() if args.stats else None
     cache = True if args.cache else None
-    if args.analyzer is not None:
+    analyzer = args.analyzer
+    if analyzer is None and args.k is not None:
+        analyzer = "polyvariant"  # ``--k K`` names the k-CFA analyzer
+    if analyzer is not None:
         # Single-analyzer mode: run exactly one named analyzer (any of
         # the registry's five, aliases included) instead of the N-way
         # comparison.  The pushdown analyzer is tree-only; asking for
         # its plan engine exits with the engine_unsupported code.
-        from repro.incr.driver import run_analysis
-
-        analyzer = canonical_analyzer(args.analyzer, ANALYZERS)
-        result, _ = run_analysis(
+        analyzer = canonical_analyzer(analyzer, ANALYZERS)
+        result = run_analyzer(
             analyzer,
             term,
             domain=domain,
@@ -226,52 +210,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 print(f"  {key:18} {value}")
             _print_metrics_snapshot(metrics)
         return 0
-    if args.json:
-        import json
-
-        report = run_comparison(
-            term,
-            domain=domain,
-            initial=initial,
-            loop_mode=args.loop_mode,
-            metrics=metrics,
-            cache=cache,
-            engine=args.engine,
-        )
-        payload = {
-            "direct": report.direct.to_dict(),
-            "semantic_cps": report.semantic.to_dict(),
-            "syntactic_cps": report.syntactic.to_dict(),
-            "verdicts": {
-                "direct_vs_syntactic": report.direct_vs_syntactic.value,
-                "semantic_vs_direct": report.semantic_vs_direct.value,
-                "semantic_vs_syntactic": report.semantic_vs_syntactic.value,
-            },
-        }
-        if report.pushdown is not None:
-            payload["pushdown"] = report.pushdown.to_dict()
-            payload["verdicts"]["pushdown_vs_direct"] = (
-                report.pushdown_vs_direct.value
-            )
-        if metrics is not None:
-            payload["metrics"] = metrics.snapshot()
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
-        return 0
-    if args.k is not None:
-        result = analyze_polyvariant(
-            term, domain, k=args.k, initial=initial, metrics=metrics,
-            cache=cache, engine=args.engine,
-        )
-        collapsed = result.collapse()
-        print(f"value: {collapsed.value!r}")
-        for name in sorted(collapsed.variables()):
-            print(f"  {name:12} {collapsed.value_of(name)!r}")
-        if metrics is not None:
-            print("\nper-analyzer work:")
-            for key, value in sorted(result.stats.as_dict().items()):
-                print(f"  {key:18} {value}")
-            _print_metrics_snapshot(metrics)
-        return 0
     report = run_comparison(
         term,
         domain=domain,
@@ -281,6 +219,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         cache=cache,
         engine=args.engine,
     )
+    if args.json:
+        import json
+
+        payload = report.to_dict()
+        if metrics is not None:
+            payload["metrics"] = metrics.snapshot()
+        print(json.dumps(payload, indent=2, ensure_ascii=False))
+        return 0
     print(report.summary())
     print("\nper-variable facts (direct analyzer):")
     for name in sorted(report.direct.variables()):
@@ -346,7 +292,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if args.analyzers:
             domain = DOMAINS[args.domain]()
             lattice = Lattice(domain)
-            initial = _analysis_initial(
+            initial = analysis_initial(
                 term, lattice, _parse_assumes(args.assume)
             )
             run_comparison(
@@ -380,7 +326,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     term = _load_term(args)
     domain = DOMAINS[args.domain]()
     lattice = Lattice(domain)
-    initial = _analysis_initial(term, lattice, _parse_assumes(args.assume))
+    initial = analysis_initial(term, lattice, _parse_assumes(args.assume))
     passes = tuple(args.passes.split(",")) if args.passes else None
     kwargs = {"passes": passes} if passes else {}
     report = optimize(term, domain, initial=initial, **kwargs)
@@ -461,7 +407,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     term = _load_term(args)
     domain = ConstPropDomain()
     lattice = Lattice(domain)
-    initial = _analysis_initial(term, lattice, _parse_assumes(args.assume))
+    initial = analysis_initial(term, lattice, _parse_assumes(args.assume))
     from repro.analysis import analyze_direct
 
     result = analyze_direct(term, domain, initial=initial)
@@ -533,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument(
         "--loop-mode",
-        choices=("reject", "top", "unroll"),
+        choices=LOOP_MODES,
         default="top",
         help="`loop` handling when tracing the CPS analyzers",
     )
@@ -551,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.add_argument(
         "--loop-mode",
-        choices=("reject", "top", "unroll"),
+        choices=LOOP_MODES,
         default="reject",
         help="`loop` handling for the CPS analyzers",
     )
@@ -590,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze_parser.add_argument(
         "--engine",
-        choices=("tree", "plan"),
+        choices=ENGINES,
         default="tree",
         help=(
             "tree-walking analyzers (default) or the compiled-plan "
@@ -654,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--loop-mode",
-        choices=("reject", "top", "unroll"),
+        choices=LOOP_MODES,
         default="top",
         help="`loop` handling for the CPS analyzers (lint default: top)",
     )
@@ -686,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--engine",
-        choices=("tree", "plan"),
+        choices=ENGINES,
         default="tree",
         help="analyzer engine powering the semantic rules",
     )
@@ -745,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     survey_parser.add_argument(
         "--engine",
-        choices=("tree", "plan"),
+        choices=ENGINES,
         default="tree",
         help="analyzer engine used for every surveyed program",
     )
@@ -775,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--engine",
-        choices=("tree", "plan"),
+        choices=ENGINES,
         default="tree",
         help="engine for the cache-comparison workloads (the "
         "plan-vs-tree section always measures both)",
@@ -973,13 +919,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--domain", choices=sorted(DOMAINS), default=None
     )
     request_parser.add_argument(
-        "--loop-mode", choices=("reject", "top", "unroll"), default=None
+        "--loop-mode", choices=LOOP_MODES, default=None
     )
     request_parser.add_argument("--k", type=int, default=None)
     request_parser.add_argument("--max-visits", type=int, default=None)
     request_parser.add_argument("--fuel", type=int, default=None)
     request_parser.add_argument(
-        "--engine", choices=("tree", "plan"), default=None
+        "--engine", choices=ENGINES, default=None
     )
     request_parser.add_argument(
         "--cache",
@@ -1130,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
     cachectl_parser.add_argument(
         "--domain",
         default="constprop",
-        choices=("constprop", "unit", "parity", "sign", "interval"),
+        choices=tuple(DOMAINS),
         help="warm: abstract domain (default constprop)",
     )
     cachectl_parser.add_argument(
@@ -1331,8 +1277,6 @@ def _cmd_cachectl(args: argparse.Namespace) -> int:
         return 0
     # warm: analyze corpus programs straight into the store
     from repro.corpus.programs import PROGRAMS
-    from repro.domains import Lattice
-    from repro.serve.jobs import DOMAINS
 
     domain_cls = DOMAINS[args.domain]
     names = args.corpus or sorted(

@@ -29,7 +29,18 @@ from repro.domains.sign import SignDomain
 from repro.domains.store import AbsStore
 from repro.domains.unit import UnitDomain
 
+#: The domains by the name every front end (CLI ``--domain``, serve
+#: ``"domain"``) spells them, in that vocabulary's order.
+DOMAINS: dict[str, type[NumDomain]] = {
+    "constprop": ConstPropDomain,
+    "unit": UnitDomain,
+    "parity": ParityDomain,
+    "sign": SignDomain,
+    "interval": IntervalDomain,
+}
+
 __all__ = [
+    "DOMAINS",
     "NumDomain",
     "ConstPropDomain",
     "UnitDomain",

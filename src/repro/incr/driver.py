@@ -11,11 +11,14 @@ across the corpus, the five analyzers, the domains, and both engines
 (the pushdown analyzer participates tree-only and without
 persistence; see `run_analysis`).
 
-`run_analysis` is the shared single-run entry: the serve layer, the
-bench harness, and ``repro cachectl warm`` all use it to run one
-analyzer with persistence attached.  Persistence requires the tree
-engine with the eval memo enabled (``cache=True``) — the plan engine
-and uncached runs execute normally and simply skip the store.
+`run_analysis` is the shared single-run entry with persistence: the
+serve layer and ``repro cachectl warm`` use it.  It builds the
+analyzer through the registry's one dispatch
+(`repro.analysis.registry.build_analyzer`), attaches a
+`SummaryRecorder` when it can persist, and runs it.  Persistence
+requires the tree engine with the eval memo enabled (``cache=True``)
+— the plan engine and uncached runs execute normally and simply skip
+the store.
 """
 
 from __future__ import annotations
@@ -24,17 +27,20 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.analysis.registry import ANALYZERS, canonical_analyzer
+from repro.analysis.registry import (
+    ANALYZERS,
+    PERSISTENT_ANALYZERS,
+    build_analyzer,
+    canonical_analyzer,
+)
 from repro.incr.hash import Path as TreePath
 from repro.incr.hash import TermHasher, merkle_diff, term_hash
 from repro.incr.recorder import SummaryRecorder
 from repro.incr.store import IncrStore
 
-#: Analyzer names accepted by `run_analysis` / `analyze_incremental`
-#: — the canonical registry vocabulary (aliases fold).  The pushdown
-#: analyzer runs but does not persist: its memo is the per-call
-#: summary table (keyed by closure × argument × entry store), not the
-#: per-sub-term judgment memo the `SummaryRecorder` snapshots.
+# `run_analysis` and `analyze_incremental` accept the registry's
+# `ANALYZERS` (re-exported by `repro.incr`; aliases fold); only the
+# `PERSISTENT_ANALYZERS` persist.
 
 #: Environment override for the default store location.
 STORE_ENV = "REPRO_INCR_STORE"
@@ -84,108 +90,39 @@ def run_analysis(
     """Run one analyzer over ``term``, persisting summaries through
     ``store`` when possible.  Returns ``(result, recorder_or_None)``.
 
-    ``term`` is the direct-style (ANF) program for every analyzer; the
-    syntactic-CPS analyzer converts it (and the initial store) itself,
-    exactly as the serve layer does, so persisted judgments key on the
-    CPS tree the analyzer actually walks.
+    ``term`` is the direct-style (ANF) program for every analyzer;
+    `repro.analysis.registry.build_analyzer` converts it (and the
+    initial store) for the syntactic-CPS analyzer, so persisted
+    judgments key on the CPS tree the analyzer actually walks.
     """
-    analyzer = canonical_analyzer(analyzer, ANALYZERS)
-    from repro.obs.sinks import NULL_SINK
-
-    common = dict(
+    instance = build_analyzer(
+        analyzer,
+        term,
+        engine=engine,
         domain=domain,
-        initial=dict(initial or {}),
+        initial=initial,
         check=check,
         max_visits=max_visits,
-        trace=trace if trace is not None else NULL_SINK,
+        trace=trace,
         metrics=metrics,
         cache=cache,
+        k=k,
+        loop_mode=loop_mode,
+        unroll_bound=unroll_bound,
     )
-    persist = store is not None and engine == "tree" and cache is True
-    if engine != "tree":
-        # The plan engine has its own compiled-plan cache; persistence
-        # applies to the tree engine's judgment memo only.
-        from repro.analysis import (
-            analyze_direct,
-            analyze_polyvariant,
-            analyze_pushdown,
-            analyze_semantic_cps,
-            analyze_syntactic_cps,
-        )
-
-        if analyzer == "pushdown":
-            # Tree-only: raises `EngineUnsupported` with the requested
-            # engine named, exactly like the direct API.
-            return analyze_pushdown(term, engine=engine, **common), None
-        if analyzer == "direct":
-            return analyze_direct(term, engine=engine, **common), None
-        if analyzer == "semantic-cps":
-            return (
-                analyze_semantic_cps(
-                    term,
-                    loop_mode=loop_mode,
-                    unroll_bound=unroll_bound,
-                    engine=engine,
-                    **common,
-                ),
-                None,
-            )
-        if analyzer == "syntactic-cps":
-            subject, cps_initial = _cps_subject(term, domain, common["initial"])
-            common["initial"] = cps_initial
-            return (
-                analyze_syntactic_cps(
-                    subject,
-                    loop_mode=loop_mode,
-                    unroll_bound=unroll_bound,
-                    engine=engine,
-                    **common,
-                ),
-                None,
-            )
-        return (
-            analyze_polyvariant(term, k=k, engine=engine, **common),
-            None,
-        )
-
-    if analyzer == "direct":
-        from repro.analysis.direct import DirectAnalyzer
-
-        instance = DirectAnalyzer(term, **common)
-        subject = term
-    elif analyzer == "semantic-cps":
-        from repro.analysis.semantic_cps import SemanticCpsAnalyzer
-
-        instance = SemanticCpsAnalyzer(
-            term, loop_mode=loop_mode, unroll_bound=unroll_bound, **common
-        )
-        subject = term
-    elif analyzer == "syntactic-cps":
-        from repro.analysis.syntactic_cps import SyntacticCpsAnalyzer
-
-        subject, cps_initial = _cps_subject(term, domain, common["initial"])
-        common["initial"] = cps_initial
-        instance = SyntacticCpsAnalyzer(
-            subject, loop_mode=loop_mode, unroll_bound=unroll_bound, **common
-        )
-    elif analyzer == "pushdown":
-        from repro.analysis.pushdown import PushdownAnalyzer
-
-        instance = PushdownAnalyzer(term, **common)
-        subject = term
-        persist = False  # summaries are call-keyed, not sub-term-keyed
-    else:
-        from repro.analysis.polyvariant import PolyvariantDirectAnalyzer
-
-        instance = PolyvariantDirectAnalyzer(term, k=k, **common)
-        subject = term
-
     recorder = None
-    if persist:
+    # The plan engine has its own compiled-plan cache, and an uncached
+    # run has no eval memo to persist.
+    if (
+        store is not None
+        and engine == "tree"
+        and cache is True
+        and canonical_analyzer(analyzer) in PERSISTENT_ANALYZERS
+    ):
         recorder = SummaryRecorder(
             instance,
             store,
-            program=subject,
+            program=instance.term,
             initial_store=instance.initial_store,
             hasher=hasher,
             readonly=readonly,
@@ -195,19 +132,6 @@ def run_analysis(
     if recorder is not None:
         recorder.flush()
     return result, recorder
-
-
-def _cps_subject(term: Any, domain: Any, initial: dict):
-    """The CPS subject tree and initial store the syntactic analyzer
-    actually consumes (mirrors the serve layer's conversion)."""
-    from repro.analysis.delta import delta_store
-    from repro.cps import cps_transform
-    from repro.domains import ConstPropDomain, Lattice
-    from repro.domains.store import AbsStore
-
-    lattice = Lattice(domain if domain is not None else ConstPropDomain())
-    cps_initial = dict(delta_store(AbsStore(lattice, initial)).items())
-    return cps_transform(term), cps_initial
 
 
 @dataclass

@@ -21,7 +21,6 @@ from repro.lint.diagnostic import (
 from repro.lint.engine import (
     LINT_ANALYZERS,
     has_errors,
-    run_analysis,
     run_lints,
 )
 from repro.lint.render import render_diagnostic, render_json, render_text
@@ -44,7 +43,6 @@ __all__ = [
     "render_diagnostic",
     "render_json",
     "render_text",
-    "run_analysis",
     "run_lints",
     "semantic_lints",
     "severity_rank",

@@ -25,23 +25,17 @@ from repro.analysis.common import (
     EngineUnsupported,
     NonComputableError,
 )
-from repro.analysis.delta import delta_store
-from repro.analysis.direct import analyze_direct
-from repro.analysis.pushdown import analyze_pushdown
 from repro.analysis.registry import (
     LINT_ANALYZERS,
     canonical_analyzer,
+    run_analyzer,
 )
 from repro.analysis.result import AnalysisResult
-from repro.analysis.semantic_cps import analyze_semantic_cps
-from repro.analysis.syntactic_cps import analyze_syntactic_cps
 from repro.anf import is_anf, normalize
 from repro.corpus.programs import CorpusProgram
-from repro.cps import cps_transform
 from repro.domains.absval import AbsVal, Lattice
 from repro.domains.constprop import ConstPropDomain
 from repro.domains.protocol import NumDomain
-from repro.domains.store import AbsStore
 from repro.lang.ast import Term, TERM_CLASSES
 from repro.lang.parser import parse
 from repro.lang.pretty import pretty
@@ -63,77 +57,6 @@ from repro.opt.deadcode import eliminate_dead_code
 
 #: Structural rules whose fix is re-normalization.
 _STRUCTURAL_CODES = frozenset({"S100", "S101", "S103"})
-
-
-def run_analysis(
-    term: Term,
-    analyzer: str,
-    domain: NumDomain | None = None,
-    initial: Mapping[str, AbsVal] | None = None,
-    loop_mode: str = "top",
-    unroll_bound: int = 32,
-    max_visits: int | None = None,
-    trace: Sink = NULL_SINK,
-    metrics: Metrics | None = None,
-    engine: str = "tree",
-) -> AnalysisResult:
-    """Run one named analyzer on a canonical term.
-
-    Mirrors the per-analyzer dispatch of `repro.api.run_comparison`,
-    including the δe transport of the initial store for the
-    syntactic-CPS analyzer.  Accepts canonical names and the registry
-    aliases; the pushdown analyzer is tree-only and raises
-    `EngineUnsupported` under ``engine="plan"``.
-    """
-    analyzer = canonical_analyzer(analyzer, LINT_ANALYZERS)
-    if analyzer == "direct":
-        return analyze_direct(
-            term,
-            domain,
-            initial=initial,
-            max_visits=max_visits,
-            trace=trace,
-            metrics=metrics,
-            engine=engine,
-        )
-    if analyzer == "semantic-cps":
-        return analyze_semantic_cps(
-            term,
-            domain,
-            initial=initial,
-            loop_mode=loop_mode,
-            unroll_bound=unroll_bound,
-            max_visits=max_visits,
-            trace=trace,
-            metrics=metrics,
-            engine=engine,
-        )
-    if analyzer == "syntactic-cps":
-        lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        cps_initial = dict(
-            delta_store(AbsStore(lattice, initial)).items()
-        )
-        return analyze_syntactic_cps(
-            cps_transform(term),
-            domain,
-            initial=cps_initial,
-            loop_mode=loop_mode,
-            unroll_bound=unroll_bound,
-            max_visits=max_visits,
-            trace=trace,
-            metrics=metrics,
-            engine=engine,
-        )
-    assert analyzer == "pushdown", analyzer
-    return analyze_pushdown(
-        term,
-        domain,
-        initial=initial,
-        max_visits=max_visits,
-        trace=trace,
-        metrics=metrics,
-        engine=engine,
-    )
 
 
 def _analysis_error_code(exc: AnalysisError) -> str:
@@ -225,9 +148,9 @@ def run_lints(
     if semantic and canonical is not None:
         recorder = RecordingSink()
         try:
-            result = run_analysis(
-                canonical,
+            result = run_analyzer(
                 analyzer,
+                canonical,
                 domain=domain,
                 initial=initial,
                 loop_mode=loop_mode,

@@ -25,7 +25,7 @@ import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from threading import Lock
-from typing import Iterator
+from typing import Iterator, Mapping
 
 #: Geometric bucket upper bounds: 1µs doubling up to ~134s.  Latencies
 #: above the last bound land in the +Inf overflow bucket.  ×2 growth
@@ -261,6 +261,24 @@ class Metrics:
                 self.gauge(f"{prefix}.{key}").set_max(value)
             else:
                 self.counter(f"{prefix}.{key}").inc(value)
+
+    def with_counters(self, counts: Mapping[str, int]) -> "Metrics":
+        """A registry with this one's gauges and histograms and its
+        counters plus ``counts`` (how a process-mode server reports the
+        counters its shards collected)."""
+        view = Metrics()
+        with self._lock:
+            view._gauges = dict(self._gauges)
+            view._histograms = dict(self._histograms)
+            totals = {
+                name: counter.value
+                for name, counter in self._counters.items()
+            }
+        for name, value in counts.items():
+            totals[name] = totals.get(name, 0) + value
+        for name, value in totals.items():
+            view.counter(name).inc(value)
+        return view
 
     def _instruments(self) -> tuple[list, list, list]:
         with self._lock:

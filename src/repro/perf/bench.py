@@ -56,6 +56,8 @@ import platform
 import time
 from typing import Any, Callable
 
+from repro.analysis.registry import analyzer_class, check_engine
+
 SCHEMA = "repro.perf.bench/8"
 
 #: Workloads faster than this (uncached) are too small to time: their
@@ -152,22 +154,12 @@ def _workload(
     }
 
 
-def _semantic_class(engine: str):
-    if engine == "plan":
-        from repro.analysis.engine import SemanticCpsPlanAnalyzer
-
-        return SemanticCpsPlanAnalyzer
-    from repro.analysis.semantic_cps import SemanticCpsAnalyzer
-
-    return SemanticCpsAnalyzer
-
-
 def _corpus_workloads(quick: bool, repeat: int, engine: str) -> list[dict]:
     from repro.corpus import PROGRAMS
     from repro.domains.absval import Lattice
     from repro.domains.constprop import ConstPropDomain
 
-    cls = _semantic_class(engine)
+    cls = analyzer_class("semantic-cps", engine)
     lattice = Lattice(ConstPropDomain())
     names = list(PROGRAMS)
     if quick:
@@ -200,7 +192,7 @@ def _family_workloads(quick: bool, repeat: int, engine: str) -> list[dict]:
     from repro.domains.absval import Lattice
     from repro.domains.constprop import ConstPropDomain
 
-    cls = _semantic_class(engine)
+    cls = analyzer_class("semantic-cps", engine)
     lattice = Lattice(ConstPropDomain())
     families = [
         (conditional_chain, 8 if quick else 12),
@@ -231,11 +223,7 @@ def _polyvariant_workloads(
     from repro.domains.absval import Lattice
     from repro.domains.constprop import ConstPropDomain
 
-    if engine == "plan":
-        from repro.analysis.engine import PolyvariantPlanAnalyzer as cls
-    else:
-        from repro.analysis.polyvariant import PolyvariantDirectAnalyzer as cls
-
+    cls = analyzer_class("polyvariant", engine)
     lattice = Lattice(ConstPropDomain())
     names = ("factorial",) if quick else ("factorial", "even-odd", "mini-evaluator")
     entries = []
@@ -286,16 +274,7 @@ def _engine_row(
 
 def _engine_workloads(quick: bool, repeat: int) -> list[dict]:
     from repro.analysis.delta import delta_store
-    from repro.analysis.direct import DirectAnalyzer
-    from repro.analysis.engine import (
-        DirectPlanAnalyzer,
-        PolyvariantPlanAnalyzer,
-        SemanticCpsPlanAnalyzer,
-        SyntacticCpsPlanAnalyzer,
-    )
-    from repro.analysis.polyvariant import PolyvariantDirectAnalyzer
-    from repro.analysis.semantic_cps import SemanticCpsAnalyzer
-    from repro.analysis.syntactic_cps import SyntacticCpsAnalyzer
+    from repro.analysis.registry import PLAN_ANALYZERS
     from repro.corpus import PROGRAMS, top_conditional_chain
     from repro.cps import cps_transform
     from repro.domains.absval import Lattice
@@ -303,6 +282,8 @@ def _engine_workloads(quick: bool, repeat: int) -> list[dict]:
     from repro.domains.store import AbsStore
     from repro.machine.absplan import compile_anf_plan, compile_cps_plan
 
+    tree = {name: analyzer_class(name, "tree") for name in PLAN_ANALYZERS}
+    plan = {name: analyzer_class(name, "plan") for name in PLAN_ANALYZERS}
     lattice = Lattice(ConstPropDomain())
     rows = []
 
@@ -315,8 +296,8 @@ def _engine_workloads(quick: bool, repeat: int) -> list[dict]:
         _engine_row(
             f"engine/{tcc.name}",
             "semantic-cps",
-            lambda: SemanticCpsAnalyzer(tcc.term, initial=tcc_init),
-            lambda: SemanticCpsPlanAnalyzer(tcc.term, initial=tcc_init),
+            lambda: tree["semantic-cps"](tcc.term, initial=tcc_init),
+            lambda: plan["semantic-cps"](tcc.term, initial=tcc_init),
             lambda: compile_anf_plan(tcc.term),
             repeat,
         )
@@ -327,10 +308,10 @@ def _engine_workloads(quick: bool, repeat: int) -> list[dict]:
         _engine_row(
             "engine/ackermann",
             "semantic-cps",
-            lambda: SemanticCpsAnalyzer(
+            lambda: tree["semantic-cps"](
                 ack.term, initial=ack_init, loop_mode="top"
             ),
-            lambda: SemanticCpsPlanAnalyzer(
+            lambda: plan["semantic-cps"](
                 ack.term, initial=ack_init, loop_mode="top"
             ),
             lambda: compile_anf_plan(ack.term),
@@ -342,8 +323,8 @@ def _engine_workloads(quick: bool, repeat: int) -> list[dict]:
         _engine_row(
             "engine/ackermann",
             "direct",
-            lambda: DirectAnalyzer(ack.term, initial=ack_init),
-            lambda: DirectPlanAnalyzer(ack.term, initial=ack_init),
+            lambda: tree["direct"](ack.term, initial=ack_init),
+            lambda: plan["direct"](ack.term, initial=ack_init),
             lambda: compile_anf_plan(ack.term),
             repeat,
         )
@@ -358,10 +339,10 @@ def _engine_workloads(quick: bool, repeat: int) -> list[dict]:
         _engine_row(
             "engine/factorial",
             "syntactic-cps",
-            lambda: SyntacticCpsAnalyzer(
+            lambda: tree["syntactic-cps"](
                 fact_cps, initial=fact_cps_init, loop_mode="top"
             ),
-            lambda: SyntacticCpsPlanAnalyzer(
+            lambda: plan["syntactic-cps"](
                 fact_cps, initial=fact_cps_init, loop_mode="top"
             ),
             lambda: compile_cps_plan(fact_cps),
@@ -372,10 +353,10 @@ def _engine_workloads(quick: bool, repeat: int) -> list[dict]:
         _engine_row(
             "engine/factorial",
             "direct-kcfa",
-            lambda: PolyvariantDirectAnalyzer(
+            lambda: tree["polyvariant"](
                 fact.term, k=1, initial=fact_init
             ),
-            lambda: PolyvariantPlanAnalyzer(
+            lambda: plan["polyvariant"](
                 fact.term, k=1, initial=fact_init
             ),
             lambda: compile_anf_plan(fact.term),
@@ -679,8 +660,6 @@ def run_bench(
     ``generated_at`` lets the caller (the CLI, CI) stamp the run; the
     current UTC time is used when omitted.
     """
-    from repro.analysis.engine import check_engine
-
     check_engine(engine)
     payload = {
         "schema": SCHEMA,

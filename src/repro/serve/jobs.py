@@ -6,9 +6,10 @@ re-printed from its normalized term (so whitespace/comment variants of
 the same program collide), options carry their resolved values, and
 the sha256 of the sorted-JSON spec is the cross-request cache key.
 
-Execution then runs the exact in-process API (`repro.analysis`,
-`repro.interp`, `repro.api.run_comparison`) — the service's responses
-are byte-identical to what a local caller gets, which the differential
+Execution then runs the exact in-process API (`repro.incr.run_analysis`
+over the registry's one analyzer dispatch, `repro.interp`,
+`repro.api.run_comparison`) — the service's responses are
+byte-identical to what a local caller gets, which the differential
 tests pin.
 
 Analyzer and interpreter names come from the canonical registry
@@ -26,32 +27,19 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis import (
-    analyze_direct,
-    analyze_polyvariant,
-    analyze_pushdown,
-    analyze_semantic_cps,
-    analyze_syntactic_cps,
-)
-from repro.analysis.delta import delta_store
+from repro.analysis.common import LOOP_MODES
 from repro.analysis.registry import (
     ALIASES,
     ANALYZERS,
+    ENGINES,
     INTERPRETERS,
 )
 from repro.anf import normalize
-from repro.api import run_comparison
+from repro.api import analysis_initial, run_comparison
 from repro.corpus.programs import PROGRAMS, CorpusProgram
 from repro.cps import cps_transform
-from repro.domains import (
-    ConstPropDomain,
-    IntervalDomain,
-    Lattice,
-    ParityDomain,
-    SignDomain,
-    UnitDomain,
-)
-from repro.domains.store import AbsStore
+from repro.domains import DOMAINS, Lattice
+from repro.incr.driver import run_analysis
 from repro.incr.hash import term_hash
 from repro.interp import run_direct, run_semantic_cps, run_syntactic_cps
 from repro.interp.values import Env, Store
@@ -65,21 +53,10 @@ from repro.obs.metrics import Metrics
 from repro.obs.sinks import NULL_SINK, Sink
 from repro.serve.codes import ServeError, classify_exception
 
-DOMAINS = {
-    "constprop": ConstPropDomain,
-    "unit": UnitDomain,
-    "parity": ParityDomain,
-    "sign": SignDomain,
-    "interval": IntervalDomain,
-}
-
 #: How long a waiter outlasts the request deadline, so the worker's
 #: own timeout classification wins when the budget expires
 #: mid-execution.
 WAIT_GRACE_SECONDS = 2.0
-
-LOOP_MODES = ("reject", "top", "unroll")
-ENGINES = ("tree", "plan")
 
 _COMMON_FIELDS = {
     "program", "corpus", "domain", "assume", "debug_sleep_ms",
@@ -453,18 +430,16 @@ def _analysis_initial(prep: PreparedRequest, lattice: Lattice) -> dict:
     """The initial abstract store: corpus assumptions, overridden by
     request constants, topped up with ⊤ for uncovered free variables
     (the CLI's convention)."""
-    initial = (
-        dict(prep.corpus.initial_for(lattice))
-        if prep.corpus is not None
-        else {}
+    return analysis_initial(
+        prep.term,
+        lattice,
+        prep.spec["assume"],
+        base=(
+            prep.corpus.initial_for(lattice)
+            if prep.corpus is not None
+            else None
+        ),
     )
-    assume = prep.spec["assume"]
-    for name in sorted(free_variables(prep.term)):
-        if name in assume:
-            initial[name] = lattice.of_const(assume[name])
-        elif name not in initial:
-            initial[name] = lattice.of_num(lattice.domain.top)
-    return initial
 
 
 def _debug_sleep(prep: PreparedRequest, deadline: Deadline) -> None:
@@ -494,87 +469,31 @@ def _execute_analyze(
             "term_hash": program_hash,
         }
     domain = DOMAINS[spec["domain"]]()
-    initial = _analysis_initial(prep, Lattice(domain))
-    analyzer = spec["analyzer"]
-    common = dict(
-        initial=initial,
+    deadline.check()
+    # With an incr store, the tree engine's eval memo persists through
+    # it (cache on, not pushdown); the result is bit-identical either
+    # way — the serve differential tests pin it.
+    result, _ = run_analysis(
+        spec["analyzer"],
+        prep.term,
+        engine=spec["engine"],
+        domain=domain,
+        initial=_analysis_initial(prep, Lattice(domain)),
+        store=incr_store,
+        k=spec["k"],
+        loop_mode=spec["loop_mode"],
+        unroll_bound=spec["unroll_bound"],
         max_visits=spec["max_visits"],
         trace=trace,
         metrics=metrics,
         cache=True if spec["cache"] else None,
-        engine=spec["engine"],
     )
-    deadline.check()
-    if (
-        incr_store is not None
-        and spec["engine"] == "tree"
-        and spec["cache"]
-    ):
-        # Persist (and reuse) sub-term summaries through the store.
-        # Results are bit-identical to the plain paths below — the
-        # serve differential tests pin it — so the response body does
-        # not depend on whether persistence was on.
-        from repro.incr.driver import run_analysis
-
-        result, _ = run_analysis(
-            analyzer,
-            prep.term,
-            domain=domain,
-            initial=initial,
-            store=incr_store,
-            k=spec["k"],
-            loop_mode=spec["loop_mode"],
-            unroll_bound=spec["unroll_bound"],
-            max_visits=spec["max_visits"],
-            trace=trace,
-            metrics=metrics,
-            cache=True,
-        )
-        if analyzer == "polyvariant":
-            result = result.collapse()
-        return {
-            "ok": True,
-            "kind": "analyze",
-            "analyzer": analyzer,
-            "program": spec["term"],
-            "term_hash": program_hash,
-            "result": result.to_dict(),
-        }
-    if analyzer == "direct":
-        result = analyze_direct(prep.term, domain, **common)
-    elif analyzer == "semantic-cps":
-        result = analyze_semantic_cps(
-            prep.term,
-            domain,
-            loop_mode=spec["loop_mode"],
-            unroll_bound=spec["unroll_bound"],
-            **common,
-        )
-    elif analyzer == "syntactic-cps":
-        lattice = Lattice(domain)
-        cps_initial = dict(
-            delta_store(AbsStore(lattice, initial)).items()
-        )
-        common["initial"] = cps_initial
-        result = analyze_syntactic_cps(
-            cps_transform(prep.term),
-            domain,
-            loop_mode=spec["loop_mode"],
-            unroll_bound=spec["unroll_bound"],
-            **common,
-        )
-    elif analyzer == "pushdown":
-        # Tree-only; ``engine="plan"`` raises `EngineUnsupported`,
-        # which classifies to the ``engine_unsupported`` serve code.
-        result = analyze_pushdown(prep.term, domain, **common)
-    else:
-        result = analyze_polyvariant(
-            prep.term, domain, k=spec["k"], **common
-        ).collapse()
+    if spec["analyzer"] == "polyvariant":
+        result = result.collapse()
     return {
         "ok": True,
         "kind": "analyze",
-        "analyzer": analyzer,
+        "analyzer": spec["analyzer"],
         "program": spec["term"],
         "term_hash": program_hash,
         "result": result.to_dict(),
@@ -686,29 +605,15 @@ def _execute_compare(
         engine=spec["engine"],
     )
     deadline.check()
-    body = {
+    # Plan-engine comparisons are three-way (pushdown is tree-only), so
+    # their bodies stay engine-differential with the tree engine's
+    # classic columns.
+    return {
         "ok": True,
         "kind": "compare",
         "program": spec["term"],
-        "direct": report.direct.to_dict(),
-        "semantic_cps": report.semantic.to_dict(),
-        "syntactic_cps": report.syntactic.to_dict(),
-        "verdicts": {
-            "direct_vs_syntactic": report.direct_vs_syntactic.value,
-            "semantic_vs_direct": report.semantic_vs_direct.value,
-            "semantic_vs_syntactic": report.semantic_vs_syntactic.value,
-        },
+        **report.to_dict(),
     }
-    # The pushdown analyzer has no plan engine, so plan-engine
-    # comparisons stay three-way (their responses are unchanged and
-    # remain engine-differential with the tree engine's classic
-    # columns); tree comparisons gain the pushdown column.
-    if report.pushdown is not None:
-        body["pushdown"] = report.pushdown.to_dict()
-        body["verdicts"]["pushdown_vs_direct"] = (
-            report.pushdown_vs_direct.value
-        )
-    return body
 
 
 def execute_prepared(

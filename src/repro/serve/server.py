@@ -512,18 +512,22 @@ class AnalysisService:
         """The ``/metricsz`` JSON body (histograms carry p50/p90/p99).
 
         Process mode aggregates the shard-local result caches into the
-        top-level ``cache`` block (so dashboards keep one hit-rate)
-        and reports each shard's cache and plan cache under
-        ``shards``."""
+        top-level ``cache`` block (so dashboards keep one hit-rate),
+        sums the shards' counters (``analysis.*``, ``perf.*``,
+        ``serve.cache.*``) into ``metrics.counters``, and reports each
+        shard's cache and plan cache under ``shards``."""
         from repro.machine.absplan import PLAN_CACHE
 
+        executor = self.executor.snapshot()
+        # Process mode: the counters the shards collected.
+        metrics = self.metrics.with_counters(executor.pop("counters", {}))
         body = {
-            "metrics": self.metrics.snapshot(quantiles=True),
+            "metrics": metrics.snapshot(quantiles=True),
             "worker_model": self.worker_model,
             # replaced by the shards' caches in process mode
             "cache": self.pipeline.cache.snapshot(),
             "plan_cache": PLAN_CACHE.snapshot(),
-            **self.executor.snapshot(),
+            **executor,
         }
         body["incr_store"] = (
             self._incr_store_block(body.get("shards"))
@@ -536,6 +540,7 @@ class AnalysisService:
         """The ``/metricsz?format=prom`` text body.  Queue state is
         folded into gauges at scrape time so the exposition is
         self-contained."""
+        executor = self.executor.snapshot()
         self.metrics.gauge("serve.queue.depth").set(
             self.executor.queue_depth
         )
@@ -544,9 +549,7 @@ class AnalysisService:
             round(time.monotonic() - self.started_at, 3)
         )
         if self.incr_store is not None:
-            block = self._incr_store_block(
-                self.executor.snapshot().get("shards")
-            )
+            block = self._incr_store_block(executor.get("shards"))
             for name in (
                 "bytes", "entries", "generation", "gc_runs",
                 "hits", "misses", "stale_rejections", "puts", "errors",
@@ -554,7 +557,8 @@ class AnalysisService:
                 self.metrics.gauge(f"serve.incr_store.{name}").set(
                     block.get(name, 0)
                 )
-        return self.metrics.to_prometheus()
+        metrics = self.metrics.with_counters(executor.get("counters", {}))
+        return metrics.to_prometheus()
 
     def _count(self, name: str) -> None:
         self.metrics.counter(name).inc()

@@ -150,6 +150,9 @@ def _shard_main(
                     "processed": processed,
                     "cache": pipeline.cache.snapshot(),
                     "plan_cache": PLAN_CACHE.snapshot(),
+                    # The analyzer and response-cache counters the
+                    # shard's requests collected.
+                    "counters": pipeline.metrics.snapshot()["counters"],
                     "incr_store": (
                         None
                         if incr_store is None
@@ -447,17 +450,23 @@ class ShardedExecutor:
     def snapshot(self) -> dict:
         """This executor's part of the ``/metricsz`` body: the shard
         result caches summed into one ``cache`` block (so dashboards
-        keep one hit rate), and each shard's own statistics."""
+        keep one hit rate), each shard's own statistics, and the
+        shards' metric counters summed under ``counters`` (the server
+        folds them into its registry's)."""
         shards = self.stats()
         cache = dict.fromkeys(
             ("hits", "misses", "evictions", "size", "capacity"), 0
         )
+        counters: dict[str, int] = {}
         for shard in shards:
             for name, value in (shard.get("cache") or {}).items():
                 if name in cache:
                     cache[name] += value
+            for name, value in shard.pop("counters", {}).items():
+                counters[name] = counters.get(name, 0) + value
         depth = self.queue_depth
         return {
+            "counters": counters,
             "cache": cache,
             "shards": shards,
             "queue": {

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from repro.analysis.registry import run_analyzer
 from repro.corpus.programs import PROGRAMS
 from repro.domains.absval import Lattice
 from repro.domains.constprop import ConstPropDomain
@@ -18,7 +19,7 @@ from repro.interp.direct import run_direct
 from repro.interp.errors import InterpError
 from repro.lang.ast import If0, Num
 from repro.lang.syntax import binders, free_variables
-from repro.lint import iter_let_bindings, run_analysis, run_lints
+from repro.lint import iter_let_bindings, run_lints
 from repro.opt.constfold import constant_fold
 from repro.opt.deadcode import eliminate_dead_code
 
@@ -51,8 +52,9 @@ def test_semantic_lints_are_actionable(name, analyzer):
 
     lattice = Lattice(ConstPropDomain())
     initial = prog.initial_for(lattice)
-    result = run_analysis(
-        prog.term, analyzer, initial=initial, max_visits=MAX_VISITS
+    result = run_analyzer(
+        analyzer, prog.term, initial=initial, max_visits=MAX_VISITS,
+        loop_mode="top",
     )
     folded = constant_fold(prog.term, result)
     cleaned = eliminate_dead_code(folded)
@@ -82,8 +84,9 @@ def test_semantic_lints_are_actionable(name, analyzer):
     # The proving analyzer computes the same final value on the
     # transformed program: the lint-suggested rewrites are
     # semantics-preserving under its own abstraction.
-    after = run_analysis(
-        cleaned, analyzer, initial=initial, max_visits=MAX_VISITS
+    after = run_analyzer(
+        analyzer, cleaned, initial=initial, max_visits=MAX_VISITS,
+        loop_mode="top",
     )
     assert after.answer.value == result.answer.value, (
         f"{name}/{analyzer}: final abstract value changed after rewrite"

@@ -290,6 +290,54 @@ def test_request_histogram_counts_every_post(worker_model):
     assert body["cache"]["hits"] == 1
 
 
+def _work_counters(svc) -> tuple[dict, dict]:
+    """The ``analysis.*``, ``perf.*`` and ``serve.cache.*`` counters of
+    ``svc`` after one miss-then-hit pair: from ``/metricsz`` JSON, and
+    from the Prometheus text."""
+    payload = {"corpus": "even-odd", "analyzer": "semantic-cps"}
+    post(svc, "/v1/analyze", payload)
+    post(svc, "/v1/analyze", payload)
+    with urllib.request.urlopen(f"{svc.url}/metricsz") as r:
+        counters = json.loads(r.read())["metrics"]["counters"]
+    with urllib.request.urlopen(f"{svc.url}/metricsz?format=prom") as r:
+        text = r.read().decode("utf-8")
+    prefixes = ("analysis.", "perf.", "serve.cache.")
+    wanted = {
+        name: value
+        for name, value in counters.items()
+        if name.startswith(prefixes)
+    }
+    lines = text.splitlines()
+    prom = {
+        name: value
+        for name, _, value in (line.partition(" ") for line in lines)
+        if f"# TYPE {name} counter" in lines
+        and name.startswith(
+            tuple("repro_" + p.replace(".", "_") for p in prefixes)
+        )
+    }
+    return wanted, prom
+
+
+def test_process_metricsz_counts_the_shards_work():
+    # The analyzer and response-cache counters live where the work
+    # runs: in process mode that is a shard, and /metricsz must still
+    # report them exactly as the thread server does.
+    results = {}
+    for model in ("thread", "process"):
+        svc = AnalysisService(port=0, workers=2, worker_model=model)
+        try:
+            results[model] = _work_counters(svc)
+        finally:
+            svc.drain(timeout=15)
+    counters, prom = results["process"]
+    assert counters["serve.cache.hits"] == 1
+    assert counters["analysis.semantic-cps.visits"] > 0
+    assert counters == results["thread"][0]
+    assert prom == results["thread"][1]
+    assert "repro_analysis_semantic_cps_visits" in prom
+
+
 class TestPrometheusEndpoint:
     def test_text_exposition(self, service):
         post(service, "/v1/analyze", {
