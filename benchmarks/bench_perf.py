@@ -1,8 +1,7 @@
-"""Experiment perf-ablation: the `repro.perf` cache stack.
+"""Experiment perf-ablation: the analyzers' eval memo.
 
-Not a paper artifact — an engineering regression guard.  Three rungs
-of the cache ladder (everything off; interning + join memo; full eval
-memo) are timed on the Section 6.2 blowup workloads, with the
+Not a paper artifact — an engineering regression guard.  The eval
+memo off and on is timed on the Section 6.2 blowup workloads, with the
 cached-vs-uncached answer equality asserted inside every benchmarked
 callable so a timing row is only reported for a *correct* run.
 
@@ -29,8 +28,7 @@ LAT = Lattice(DOM)
 
 CONFIGS = {
     "cache_off": False,
-    "cache_default": None,  # interning + join memo only
-    "cache_full": True,  # + the eval memo
+    "cache_full": True,  # the eval memo
 }
 
 

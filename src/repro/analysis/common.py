@@ -30,7 +30,6 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import NULL_SINK, Sink
-from repro.perf import Interner, PerfConfig, PerfStats
 
 
 class AnalysisError(Exception):
@@ -326,6 +325,33 @@ class AnalysisStats:
         }
 
 
+@dataclass(slots=True)
+class PerfStats:
+    """Counters for the eval memo of one analyzer run."""
+
+    eval_cache_hits: int = 0
+    eval_cache_misses: int = 0
+    eval_cache_rejects: int = 0
+
+    def as_dict(self) -> dict[str, int]:
+        """Plain-dict view, merged into metrics under ``perf.<name>``."""
+        return {
+            "eval_cache_hits": self.eval_cache_hits,
+            "eval_cache_misses": self.eval_cache_misses,
+            "eval_cache_rejects": self.eval_cache_rejects,
+        }
+
+    @property
+    def eval_cache_hit_rate(self) -> float:
+        """Hits over probes of the eval memo (0.0 when never probed)."""
+        probes = (
+            self.eval_cache_hits
+            + self.eval_cache_misses
+            + self.eval_cache_rejects
+        )
+        return self.eval_cache_hits / probes if probes else 0.0
+
+
 #: Sentinel "no active taint" for the eval memo (any real registration
 #: sequence number compares below it).
 _NO_TAINT = sys.maxsize
@@ -347,11 +373,9 @@ class WorkBudgetMixin:
     `NullSink` default costs one ``is None`` check per rule) and the
     join/widening/store-size bookkeeping shared by all analyzers.
 
-    The `repro.perf` half lives here too.  Interning
-    (:meth:`intern_store`, :meth:`join_stores`) is semantically
-    invisible.  The eval memo is subtler, because a judgment's answer
-    is *not* a function of the judgment alone: a Section 4.4 loop cut
-    makes it depend on which ancestors are on the active path.  Two
+    The eval memo lives here too.  A judgment's answer is *not* a
+    function of the judgment alone: a Section 4.4 loop cut makes it
+    depend on which ancestors are on the active path.  Two
     mechanisms keep cached answers bit-identical to uncached ones:
 
     - **taint** (write side): every active-path registration gets a
@@ -381,9 +405,7 @@ class WorkBudgetMixin:
     _emit: Callable[[TraceEvent], None] | None = None
     _depth: int = 0
     # perf defaults, for mixin users that never call init_perf
-    perf_config: PerfConfig = PerfConfig.resolve(False)
     perf: PerfStats | None = None
-    _interner: Interner | None = None
     _memo: "dict | None" = None
     _memo_seq: int = 0
     _memo_taint: int = _NO_TAINT
@@ -407,18 +429,11 @@ class WorkBudgetMixin:
         self._emit = self.trace.emit if self.trace.enabled else None
         self.metrics = metrics
 
-    def init_perf(self, cache: "PerfConfig | bool | None") -> None:
-        """Attach the `repro.perf` caches (constructor helper).
-
-        ``cache`` follows ``PerfConfig.resolve``: ``None`` interns
-        only, ``True`` also memoizes eval, ``False`` disables
-        everything.
-        """
-        config = PerfConfig.resolve(cache)
-        self.perf_config = config
+    def init_perf(self, cache: bool) -> None:
+        """Attach the eval memo when ``cache`` is true (constructor
+        helper); the counters are kept either way."""
         self.perf = PerfStats()
-        self._interner = Interner(self.perf) if config.intern else None
-        self._memo = {} if config.memo else None
+        self._memo = {} if cache else None
         self._fp_stack: list[set] = []
         self._memo_seq = 0
         self._memo_taint = _NO_TAINT
@@ -438,20 +453,6 @@ class WorkBudgetMixin:
                 " (the in-memory eval memo)"
             )
         self._recorder = recorder
-
-    # -- interning ------------------------------------------------------
-
-    def intern_store(self, store: AbsStore) -> AbsStore:
-        """Canonicalize a store (identity when interning is off)."""
-        interner = self._interner
-        return store if interner is None else interner.store(store)
-
-    def join_stores(self, a: AbsStore, b: AbsStore) -> AbsStore:
-        """``a.join(b)`` through the interner's join memo when on."""
-        interner = self._interner
-        if interner is not None and self.perf_config.join_memo:
-            return interner.join_stores(a, b)
-        return a.join(b)
 
     # -- eval memo ------------------------------------------------------
 
@@ -606,13 +607,7 @@ class WorkBudgetMixin:
         bookkeeping: a binding that strictly grows past an existing
         non-bottom value counts as a widening step."""
         before = store.get(name)
-        interner = self._interner
-        if interner is None:
-            after = store.joined_bind(name, value)
-        else:
-            after = store.joined_bind(name, value, intern=interner.value)
-            if after is not store:
-                after = interner.store(after)
+        after = store.joined_bind(name, value)
         size = len(after)
         if size > self.stats.max_store_size:
             self.stats.max_store_size = size
@@ -626,8 +621,8 @@ class WorkBudgetMixin:
 
     def finish_metrics(self) -> None:
         """Fold the final stats into the metrics registry (if any)
-        under ``analysis.<analyzer_name>``, plus the `repro.perf`
-        cache counters under ``perf.<analyzer_name>``."""
+        under ``analysis.<analyzer_name>``, plus the eval-memo
+        counters under ``perf.<analyzer_name>``."""
         if self.metrics is not None:
             self.metrics.merge_stats(
                 f"analysis.{self.analyzer_name}", self.stats.as_dict()

@@ -68,7 +68,7 @@ class DirectAnalyzer(WorkBudgetMixin):
         max_visits: int | None = None,
         trace: Sink | None = None,
         metrics: Metrics | None = None,
-        cache: "bool | None" = None,
+        cache: bool = False,
     ) -> None:
         """Prepare an analysis of ``term``.
 
@@ -85,8 +85,7 @@ class DirectAnalyzer(WorkBudgetMixin):
                 events (default: disabled, zero overhead).
             metrics: optional `repro.obs` metrics registry; the final
                 stats are folded in under ``analysis.direct``.
-            cache: `repro.perf` configuration (a `PerfConfig`, or
-                ``None``/``True``/``False``); results are identical
+            cache: turn the eval memo on; results are identical
                 either way, only visit counts and wall time change.
         """
         if check:
@@ -97,7 +96,7 @@ class DirectAnalyzer(WorkBudgetMixin):
         self.max_visits = max_visits
         self.init_obs(trace, metrics)
         self.init_perf(cache)
-        self.initial_store = self.intern_store(AbsStore(self.lattice, initial))
+        self.initial_store = AbsStore(self.lattice, initial)
         cl_top = closures_of_term(term) | closures_of_store(self.initial_store)
         #: The least precise value: ``(⊤, CL⊤)`` (Section 4.4).
         self.top_value = AbsVal(self.lattice.domain.top, cl_top)
@@ -242,7 +241,7 @@ class DirectAnalyzer(WorkBudgetMixin):
             if seen > 1:
                 self.count_join("apply")
             value = lattice.join(value, branch_value)
-            out_store = self.join_stores(out_store, branch_store)
+            out_store = out_store.join(branch_store)
         return AAnswer(value, out_store)
 
     # ------------------------------------------------------------------
@@ -269,7 +268,7 @@ class DirectAnalyzer(WorkBudgetMixin):
         self.count_join("if0")
         return AAnswer(
             self.lattice.join(then_answer.value, else_answer.value),
-            self.join_stores(then_answer.store, else_answer.store),
+            then_answer.store.join(else_answer.store),
         )
 
     def _primop(self, rhs: PrimApp, store: AbsStore) -> AbsVal:
@@ -289,7 +288,7 @@ def analyze_direct(
     max_visits: int | None = None,
     trace: Sink | None = None,
     metrics: Metrics | None = None,
-    cache: "bool | None" = None,
+    cache: bool = False,
     engine: str = "tree",
 ) -> AnalysisResult:
     """Run the direct data flow analysis (Figure 4) on ``term``.

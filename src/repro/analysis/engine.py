@@ -196,13 +196,7 @@ class _SlotEngine(WorkBudgetMixin):
         the widening/store-size bookkeeping and trace labels of the
         tree analyzers."""
         before = store.vals[slot]
-        interner = self._interner
-        if interner is None:
-            after = store.joined_bind(slot, value)
-        else:
-            after = store.joined_bind(slot, value, intern=interner.value)
-            if after is not store:
-                after = interner.store(after)
+        after = store.joined_bind(slot, value)
         size = after.size
         if size > self.stats.max_store_size:
             self.stats.max_store_size = size
@@ -271,7 +265,7 @@ class DirectPlanAnalyzer(_SlotEngine):
         max_visits: int | None = None,
         trace: Sink | None = None,
         metrics: Metrics | None = None,
-        cache: "bool | None" = None,
+        cache: bool = False,
         plan_cache: PlanCache | None = PLAN_CACHE,
     ) -> None:
         if check:
@@ -299,8 +293,8 @@ class DirectPlanAnalyzer(_SlotEngine):
         )
         self._cvals = _materialize_anf(src.consts, self.lattice)
         self._entry_cache: dict[int, tuple] = {}
-        self.initial_store = self.intern_store(
-            self._initial_slot_store(initial_abs, self._slot_names, slot_of)
+        self.initial_store = self._initial_slot_store(
+            initial_abs, self._slot_names, slot_of
         )
         cl_top = plan.cl_top | closures_of_store(initial_abs)
         self.top_value = AbsVal(self.lattice.domain.top, cl_top)
@@ -442,7 +436,7 @@ class DirectPlanAnalyzer(_SlotEngine):
             if seen > 1:
                 self.count_join("apply")
             value = lattice.join(value, branch_value)
-            out_store = self.join_stores(out_store, branch_store)
+            out_store = out_store.join(branch_store)
         return AAnswer(value, out_store)
 
     def _branch(self, instr, test: AbsVal, store: SlotStore) -> AAnswer:
@@ -460,7 +454,7 @@ class DirectPlanAnalyzer(_SlotEngine):
         self.count_join("if0")
         return AAnswer(
             self.lattice.join(then_answer.value, else_answer.value),
-            self.join_stores(then_answer.store, else_answer.store),
+            then_answer.store.join(else_answer.store),
         )
 
 
@@ -489,7 +483,7 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
         max_visits: int | None = None,
         trace: Sink | None = None,
         metrics: Metrics | None = None,
-        cache: "bool | None" = None,
+        cache: bool = False,
         plan_cache: PlanCache | None = PLAN_CACHE,
     ) -> None:
         if check:
@@ -519,8 +513,8 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
         )
         self._cvals = _materialize_anf(src.consts, self.lattice)
         self._entry_cache: dict[int, tuple] = {}
-        self.initial_store = self.intern_store(
-            self._initial_slot_store(initial_abs, self._slot_names, slot_of)
+        self.initial_store = self._initial_slot_store(
+            initial_abs, self._slot_names, slot_of
         )
         cl_top = plan.cl_top | closures_of_store(initial_abs)
         self.top_value = AbsVal(self.lattice.domain.top, cl_top)
@@ -718,7 +712,7 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
         self.count_join(site)
         return AAnswer(
             self.lattice.join(a.value, b.value),
-            self.join_stores(a.store, b.store),
+            a.store.join(b.store),
         )
 
 
@@ -744,7 +738,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
         max_visits: int | None = None,
         trace: Sink | None = None,
         metrics: Metrics | None = None,
-        cache: "bool | None" = None,
+        cache: bool = False,
         plan_cache: PlanCache | None = PLAN_CACHE,
     ) -> None:
         from repro.analysis.common import AbsCo, AbsCpsClo
@@ -792,8 +786,8 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
         self._cvals = _materialize_cps(src.consts, self.lattice)
         self._entry_cache: dict[int, tuple] = {}
         self._kont_cache: dict[int, tuple] = {}
-        self.initial_store = self.intern_store(
-            self._initial_slot_store(initial_abs, self._slot_names, slot_of)
+        self.initial_store = self._initial_slot_store(
+            initial_abs, self._slot_names, slot_of
         )
         cl_top = plan.cl_top | store_clos
         k_top = plan.k_top | store_konts
@@ -1009,7 +1003,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
         self.count_join(site)
         return AAnswer(
             self.lattice.join(a.value, b.value),
-            self.join_stores(a.store, b.store),
+            a.store.join(b.store),
         )
 
 
@@ -1038,7 +1032,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         max_visits: int | None = None,
         trace: Sink | None = None,
         metrics: Metrics | None = None,
-        cache: "bool | None" = None,
+        cache: bool = False,
         plan_cache: PlanCache | None = PLAN_CACHE,
     ) -> None:
         if check:
@@ -1057,8 +1051,8 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         initial = dict(initial) if initial else {}
         for name, value in initial.items():
             table[CtxVar(name, TOP_CONTEXT)] = _polyvariant_value(value)
-        self.initial_store = self.intern_store(
-            AbsStore(self.lattice, table)  # type: ignore[arg-type]
+        self.initial_store = AbsStore(
+            self.lattice, table  # type: ignore[arg-type]
         )
         ext_closures = [
             AbsClo(clo.param, clo.body)
@@ -1273,7 +1267,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
             if seen > 1:
                 self.count_join("apply")
             value = lattice.join(value, branch_value)
-            out_store = self.join_stores(out_store, branch_store)
+            out_store = out_store.join(branch_store)
         return value, out_store
 
     def _branch(
@@ -1298,5 +1292,5 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         self.count_join("if0")
         return (
             self.lattice.join(then_value, else_value),
-            self.join_stores(then_store, else_store),
+            then_store.join(else_store),
         )

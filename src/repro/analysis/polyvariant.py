@@ -134,7 +134,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
         max_visits: int | None = None,
         trace: Sink | None = None,
         metrics: Metrics | None = None,
-        cache: "bool | None" = None,
+        cache: bool = False,
     ) -> None:
         """Prepare a k-CFA analysis of ``term``.
 
@@ -148,8 +148,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
                 abstract domain (closures are converted to polyvariant
                 closures with the fallback environment).
             check: validate that ``term`` is in the restricted subset.
-            cache: `repro.perf` configuration (a `PerfConfig`, or
-                ``None``/``True``/``False``); results are identical
+            cache: turn the eval memo on; results are identical
                 either way, only visit counts and wall time change.
         """
         if check:
@@ -167,8 +166,8 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
         initial = dict(initial) if initial else {}
         for name, value in initial.items():
             table[CtxVar(name, TOP_CONTEXT)] = _polyvariant_value(value)
-        self.initial_store = self.intern_store(
-            AbsStore(self.lattice, table)  # type: ignore[arg-type]
+        self.initial_store = AbsStore(
+            self.lattice, table  # type: ignore[arg-type]
         )
         cl_top: set[Hashable] = set()
         for sub in subterms(term):
@@ -381,7 +380,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
             if seen > 1:
                 self.count_join("apply")
             value = lattice.join(value, branch_value)
-            out_store = self.join_stores(out_store, branch_store)
+            out_store = out_store.join(branch_store)
         return value, out_store
 
     def _branch(
@@ -406,7 +405,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
         self.count_join("if0")
         return (
             self.lattice.join(then_value, else_value),
-            self.join_stores(then_store, else_store),
+            then_store.join(else_store),
         )
 
 
@@ -505,7 +504,7 @@ def analyze_polyvariant(
     max_visits: int | None = None,
     trace: Sink | None = None,
     metrics: Metrics | None = None,
-    cache: "bool | None" = None,
+    cache: bool = False,
     engine: str = "tree",
 ) -> PolyvariantResult:
     """Run the k-CFA direct data flow analysis on ``term``.

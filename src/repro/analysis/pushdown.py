@@ -59,8 +59,8 @@ The eval memo of `WorkBudgetMixin` is deliberately **not** used: its
 keys are ``(id(term), store)``, blind to the frame, so a hit could
 replay an answer from a different activation.  The summary table *is*
 this analyzer's cache (always on — it is integral to call/return
-matching, not an optional accelerator); ``cache`` still controls
-store interning for API parity.  There is no compiled-plan engine:
+matching, not an optional accelerator); ``cache`` is accepted for
+API parity and changes nothing.  There is no compiled-plan engine:
 ``engine="plan"`` raises `EngineUnsupported` (the serve layer's
 ``engine_unsupported`` enum error).
 """
@@ -126,7 +126,7 @@ class PushdownAnalyzer(WorkBudgetMixin):
         max_visits: int | None = None,
         trace: Sink | None = None,
         metrics: Metrics | None = None,
-        cache: "bool | None" = None,
+        cache: bool = False,
         widen_depth: int = WIDEN_DEPTH,
     ) -> None:
         """Prepare a pushdown analysis of ``term``.
@@ -146,7 +146,7 @@ class PushdownAnalyzer(WorkBudgetMixin):
         self.widen_depth = widen_depth
         self.init_obs(trace, metrics)
         self.init_perf(cache)
-        self.initial_store = self.intern_store(AbsStore(self.lattice, initial))
+        self.initial_store = AbsStore(self.lattice, initial)
         #: Completed entry/exit summaries: key -> exit answer.
         self._summaries: dict[tuple, AAnswer] = {}
         #: In-flight entries: key -> current exit approximation.
@@ -271,7 +271,7 @@ class PushdownAnalyzer(WorkBudgetMixin):
             if seen > 1:
                 self.count_join("apply")
             value = lattice.join(value, branch_value)
-            out_store = self.join_stores(out_store, branch_store)
+            out_store = out_store.join(branch_store)
         return AAnswer(value, out_store)
 
     def _call(self, clo: AbsClo, arg: AbsVal, store: AbsStore) -> AAnswer:
@@ -330,7 +330,7 @@ class PushdownAnalyzer(WorkBudgetMixin):
                 previous = self._active_calls[key]
                 merged = AAnswer(
                     lattice.join(previous.value, answer.value),
-                    self.join_stores(previous.store, answer.store),
+                    previous.store.join(answer.store),
                 )
                 if key not in iter_consumed or merged == previous:
                     # Either the body never re-entered this
@@ -379,7 +379,7 @@ class PushdownAnalyzer(WorkBudgetMixin):
         self.count_join("if0")
         return AAnswer(
             self.lattice.join(then_answer.value, else_answer.value),
-            self.join_stores(then_answer.store, else_answer.store),
+            then_answer.store.join(else_answer.store),
         )
 
     def _primop(self, rhs: PrimApp, store: AbsStore, frame: Frame) -> AbsVal:
@@ -399,7 +399,7 @@ def analyze_pushdown(
     max_visits: int | None = None,
     trace: Sink | None = None,
     metrics: Metrics | None = None,
-    cache: "bool | None" = None,
+    cache: bool = False,
     engine: str = "tree",
     widen_depth: int = WIDEN_DEPTH,
 ) -> AnalysisResult:

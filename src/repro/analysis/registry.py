@@ -210,7 +210,7 @@ def build_analyzer(
     max_visits: "int | None" = None,
     trace: Any = None,
     metrics: Any = None,
-    cache: Any = None,
+    cache: bool = False,
     k: int = 1,
     loop_mode: str = "reject",
     unroll_bound: int = 32,
@@ -243,9 +243,9 @@ def build_analyzer(
     )
 
 
-def run_analyzer(name: str, term: Any, **options: Any):
-    """``build_analyzer(name, term, **options).run()``."""
-    return build_analyzer(name, term, **options).run()
+def run_analyzer(name: str, term: Any, *, cache: bool = False, **options: Any):
+    """``build_analyzer(name, term, cache=cache, **options).run()``."""
+    return build_analyzer(name, term, cache=cache, **options).run()
 
 
 def _cps_image(term: Any, domain: Any, initial, check: bool):

@@ -71,7 +71,7 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
         max_visits: int | None = None,
         trace: Sink | None = None,
         metrics: Metrics | None = None,
-        cache: "bool | None" = None,
+        cache: bool = False,
     ) -> None:
         """Prepare an analysis of ``term``.
 
@@ -93,8 +93,7 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
             trace: optional `repro.obs` sink receiving per-rule trace
                 events (default: disabled, zero overhead).
             metrics: optional `repro.obs` metrics registry.
-            cache: `repro.perf` configuration (a `PerfConfig`, or
-                ``None``/``True``/``False``); results are identical
+            cache: turn the eval memo on; results are identical
                 either way, only visit counts and wall time change.
         """
         if check:
@@ -108,7 +107,7 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
         self.max_visits = max_visits
         self.init_obs(trace, metrics)
         self.init_perf(cache)
-        self.initial_store = self.intern_store(AbsStore(self.lattice, initial))
+        self.initial_store = AbsStore(self.lattice, initial)
         cl_top = closures_of_term(term) | closures_of_store(self.initial_store)
         self.top_value = AbsVal(self.lattice.domain.top, cl_top)
         self._active: dict[tuple[int, AbsStore], int] = {}
@@ -339,7 +338,7 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
         self.count_join(site)
         return AAnswer(
             self.lattice.join(a.value, b.value),
-            self.join_stores(a.store, b.store),
+            a.store.join(b.store),
         )
 
 
@@ -353,7 +352,7 @@ def analyze_semantic_cps(
     max_visits: int | None = None,
     trace: Sink | None = None,
     metrics: Metrics | None = None,
-    cache: "bool | None" = None,
+    cache: bool = False,
     engine: str = "tree",
 ) -> AnalysisResult:
     """Run the semantic-CPS data flow analysis (Figure 5) on ``term``.

@@ -81,7 +81,7 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
         max_visits: int | None = None,
         trace: Sink | None = None,
         metrics: Metrics | None = None,
-        cache: "bool | None" = None,
+        cache: bool = False,
     ) -> None:
         """Prepare an analysis of the cps(A) program ``term``.
 
@@ -100,8 +100,7 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
             trace: optional `repro.obs` sink receiving per-rule trace
                 events (default: disabled, zero overhead).
             metrics: optional `repro.obs` metrics registry.
-            cache: `repro.perf` configuration (a `PerfConfig`, or
-                ``None``/``True``/``False``); results are identical
+            cache: turn the eval memo on; results are identical
                 either way, only visit counts and wall time change.
         """
         if check:
@@ -117,7 +116,7 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
         table = dict(initial) if initial else {}
         if top_kvar not in table:
             table[top_kvar] = self.lattice.of_konts(A_STOP)
-        self.initial_store = self.intern_store(AbsStore(self.lattice, table))
+        self.initial_store = AbsStore(self.lattice, table)
         cl_top = cps_closures_of_term(term) | closures_of_store(
             self.initial_store
         )
@@ -379,7 +378,7 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
         self.count_join(site)
         return AAnswer(
             self.lattice.join(a.value, b.value),
-            self.join_stores(a.store, b.store),
+            a.store.join(b.store),
         )
 
 
@@ -394,7 +393,7 @@ def analyze_syntactic_cps(
     max_visits: int | None = None,
     trace: Sink | None = None,
     metrics: Metrics | None = None,
-    cache: "bool | None" = None,
+    cache: bool = False,
     engine: str = "tree",
 ) -> AnalysisResult:
     """Run the syntactic-CPS data flow analysis (Figure 6).

@@ -250,7 +250,7 @@ def run_comparison(
     max_visits: int | None = None,
     trace: Sink = NULL_SINK,
     metrics: Metrics | None = None,
-    cache: "bool | None" = None,
+    cache: bool = False,
     engine: str = "tree",
 ) -> ComparisonReport:
     """Run the comparison analyzers on one program.
@@ -279,9 +279,8 @@ def run_comparison(
         metrics: optional `repro.obs` registry; each analyzer gets an
             ``analyze.<name>`` timing span and folds its stats in
             under ``analysis.<name>``.
-        cache: `repro.perf` configuration shared by all analyzers
-            (a `PerfConfig`, or ``None``/``True``/``False``); results
-            are identical either way.
+        cache: turn the eval memo on in every analyzer; results are
+            identical either way, only visit counts change.
         engine: ``"tree"`` (default) interprets the AST; ``"plan"``
             runs the compiled-plan engines of
             :mod:`repro.analysis.engine` — same answers, same

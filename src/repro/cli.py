@@ -34,9 +34,9 @@ Interpreter and analyzer failures exit with the structured
 ``run``, ``analyze``, and ``dataflow`` accept ``--stats`` to print the
 `repro.obs` work counters (visits, joins, widenings, loop cuts, span
 timings) after their normal output.  ``analyze`` and ``dataflow``
-accept ``--cache`` to enable the `repro.perf` caches (results are
-identical; visit counts drop).  ``survey`` and ``report`` accept
-``--jobs N`` to fan work out over worker processes.
+accept ``--cache`` to enable the analyzers' eval memo or MFP's join
+memo (results are identical; visit counts drop).  ``survey`` and
+``report`` accept ``--jobs N`` to fan work out over worker processes.
 
 Programs are read from a file argument, or from ``-e SOURCE`` for
 inline text.  Free variables can be given concrete values (``run``)
@@ -170,7 +170,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     lattice = Lattice(domain)
     initial = analysis_initial(term, lattice, _parse_assumes(args.assume))
     metrics = Metrics() if args.stats else None
-    cache = True if args.cache else None
+    cache = bool(args.cache)
     analyzer = args.analyzer
     if analyzer is None and args.k is not None:
         analyzer = "polyvariant"  # ``--k K`` names the k-CFA analyzer
@@ -180,6 +180,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # comparison.  The pushdown analyzer is tree-only; asking for
         # its plan engine exits with the engine_unsupported code.
         analyzer = canonical_analyzer(analyzer, ANALYZERS)
+        if args.k is not None and analyzer != "polyvariant":
+            # Same rule as the service's analyze request.
+            args.usage_error("'k' only applies to the polyvariant analyzer")
         result = run_analyzer(
             analyzer,
             term,
@@ -530,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         action="store_true",
         help=(
-            "enable the repro.perf eval cache (identical results, "
+            "enable the analyzers' eval memo (identical results, "
             "fewer visits)"
         ),
     )
@@ -543,7 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
             "engines (identical answers and statistics)"
         ),
     )
-    analyze_parser.set_defaults(handler=_cmd_analyze)
+    analyze_parser.set_defaults(
+        handler=_cmd_analyze, usage_error=analyze_parser.error
+    )
 
     anf_parser = commands.add_parser("anf", help="print the A-normal form")
     _add_program_arguments(anf_parser)
@@ -930,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     request_parser.add_argument(
         "--cache",
         action="store_true",
-        help="enable the repro.perf eval cache server-side",
+        help="enable the analyzers' eval memo server-side",
     )
     request_parser.add_argument(
         "--retries",

@@ -11,13 +11,66 @@ correlated facts.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable
+from typing import Callable, Hashable
 
 from repro.dataflow.framework import ENTRY, DataflowProblem, Facts
 from repro.obs.events import CacheHit, SolverIteration
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import NULL_SINK, Sink
-from repro.perf import JoinMemo
+
+
+class JoinMemo:
+    """A memo for a commutative, deterministic binary join.
+
+    Canonicalizes the solver's fact tables and absorbs repeated edge
+    joins.  ``canon_key`` maps an operand to a hashable
+    canonicalization key (identity when omitted); ``None`` operands
+    pass through untouched (the solver's "unreachable" fact).  The
+    canonical table holds every representative, so ``id()`` stays
+    stable and the memo keys on the unordered identity pair.
+    """
+
+    __slots__ = ("_join", "_canon_key", "_canon", "_memo", "hits", "misses")
+
+    def __init__(
+        self,
+        join: Callable,
+        canon_key: Callable[[object], Hashable] | None = None,
+    ) -> None:
+        self._join = join
+        self._canon_key = canon_key
+        self._canon: dict = {}
+        self._memo: dict[tuple[int, int], object] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def canonical(self, operand):
+        """The canonical representative of ``operand``."""
+        if operand is None:
+            return None
+        key = self._canon_key(operand) if self._canon_key else operand
+        found = self._canon.get(key)
+        if found is None:
+            self._canon[key] = operand
+            return operand
+        return found
+
+    def __call__(self, a, b):
+        a = self.canonical(a)
+        b = self.canonical(b)
+        if a is b and a is not None:
+            # Joins are idempotent.
+            return a
+        ia, ib = id(a), id(b)
+        key = (ia, ib) if ia < ib else (ib, ia)
+        found = self._memo.get(key)
+        if found is not None:
+            self.hits += 1
+            return found
+        joined = self.canonical(self._join(a, b))
+        self._memo[key] = joined
+        self.misses += 1
+        return joined
 
 
 def solve_mfp(
@@ -37,7 +90,7 @@ def solve_mfp(
             ``mfp.edges_delivered``, ``mfp.joins``, ``mfp.cache_hits``
             counters and the ``mfp.worklist_depth`` high-water gauge.
         cache: memoize ``problem.join_facts`` on canonicalized fact
-            tables (`repro.perf.JoinMemo`) — the solution is identical,
+            tables (`JoinMemo`) — the solution is identical,
             repeated joins of the same pair are absorbed; adds
             ``perf.mfp.join_memo_hits`` / ``_misses`` metrics.
 

@@ -22,7 +22,7 @@ parent's in O(1): subtract the old entry's hash, add the new one's.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.domains.absval import AbsVal, Lattice
 
@@ -96,21 +96,12 @@ class AbsStore:
     # Lattice structure
     # ------------------------------------------------------------------
 
-    def joined_bind(
-        self,
-        name: str,
-        value: AbsVal,
-        intern: Callable[[AbsVal], AbsVal] | None = None,
-    ) -> "AbsStore":
+    def joined_bind(self, name: str, value: AbsVal) -> "AbsStore":
         """The paper's ``sigma[x := sigma(x) u u]`` update.
 
         Returns ``self`` exactly when ``name`` is bound and the join
-        leaves its value unchanged; the analyzers' widening counts and
-        the interner's counters depend on that identity.
-
-        ``intern`` optionally canonicalizes the joined value before it
-        enters the table (see `repro.perf.Interner`), so equal stores
-        built along different paths share value objects.
+        leaves its value unchanged; the analyzers' widening counts
+        depend on that identity.
         """
         lattice = self._lattice
         table = self._table
@@ -121,8 +112,6 @@ class AbsStore:
             joined = lattice.join(current, value)
             if joined == current:
                 return self
-        if intern is not None:
-            joined = intern(joined)
         parent_hash = hash(self)
         if current is None:
             if lattice.is_bottom(joined):
@@ -205,7 +194,7 @@ class SlotStore:
     unique-binder invariant makes the mapping total), so the table is a
     flat tuple indexed by slot: O(1) reads, O(n) copy-on-write updates
     with no hashing of names, and equality/hashing over a tuple of
-    interned values.  Unbound slots hold bottom; ``size`` counts the
+    values.  Unbound slots hold bottom; ``size`` counts the
     non-bottom entries so `__len__` agrees with the equivalent
     `AbsStore`.
 
@@ -242,12 +231,7 @@ class SlotStore:
     def __len__(self) -> int:
         return self.size
 
-    def joined_bind(
-        self,
-        slot: int,
-        value: AbsVal,
-        intern: Callable[[AbsVal], AbsVal] | None = None,
-    ) -> "SlotStore":
+    def joined_bind(self, slot: int, value: AbsVal) -> "SlotStore":
         """The paper's ``sigma[x := sigma(x) u u]`` update, by slot."""
         lattice = self._lattice
         current = self.vals[slot]
@@ -255,8 +239,6 @@ class SlotStore:
         current_bottom = lattice.is_bottom(current)
         if not current_bottom and joined == current:
             return self
-        if intern is not None:
-            joined = intern(joined)
         vals = list(self.vals)
         vals[slot] = joined
         size = self.size

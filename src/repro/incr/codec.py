@@ -3,7 +3,7 @@
 A persisted summary must survive two hostile boundaries:
 
 - **Process death.** Nothing that depends on object identity —
-  ``id()``-keyed memo keys, interned stores, cached hashes — can be
+  ``id()``-keyed memo keys, cached hashes — can be
   written to disk.  Summaries are serialized as JSON token trees whose
   only node references are *content digests plus positions*.
 - **Program edits.** A summary recorded against one program object
@@ -56,7 +56,7 @@ from repro.incr.hash import Path, TermHasher, iter_nodes, resolve_path
 
 #: Layout version of everything this module writes; folded into every
 #: store key so a codec change invalidates cleanly.
-CODEC_SCHEMA = 1
+CODEC_SCHEMA = 2
 
 
 class Unencodable(Exception):
@@ -217,8 +217,6 @@ class JudgmentCodec:
             "analyzer": self.kind,
             "domain": domain_token(self.lattice.domain),
             "engine": "tree",
-            "intern": bool(analyzer.perf_config.intern),
-            "join_memo": bool(analyzer.perf_config.join_memo),
             "top": self.top_hex,
         }
         k = getattr(analyzer, "k", None)
@@ -489,13 +487,11 @@ class JudgmentCodec:
     def decode_value(self, token: Any, ctx: tuple) -> AbsVal:
         if token[0] == "top":
             return self.analyzer.top_value
-        value = AbsVal(
+        return AbsVal(
             elem_decode(token[1]),
             frozenset(self._decode_clo(t, ctx) for t in token[2]),
             frozenset(self._decode_clo(t, ctx) for t in token[3]),
         )
-        interner = self.analyzer._interner
-        return value if interner is None else interner.value(value)
 
     def encode_store(
         self, out: AbsStore, entry: AbsStore, ctx: tuple
@@ -535,8 +531,7 @@ class JudgmentCodec:
         for key_json, value_token in token[1]:
             key = self._decode_store_key(json.loads(key_json))
             table[key] = self.decode_value(value_token, ctx)
-        store = AbsStore(self.lattice, table)
-        return self.analyzer.intern_store(store)
+        return AbsStore(self.lattice, table)
 
     def encode_answer(self, answer: Any, memo_key: tuple) -> Any:
         nid, kont, entry_store, _ = self.split_key(memo_key)

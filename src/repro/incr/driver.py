@@ -84,7 +84,7 @@ def run_analysis(
     max_visits: "int | None" = None,
     trace: Any = None,
     metrics: Any = None,
-    cache: "bool | None" = True,
+    cache: bool = True,
     engine: str = "tree",
 ):
     """Run one analyzer over ``term``, persisting summaries through

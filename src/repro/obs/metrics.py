@@ -78,6 +78,13 @@ class Gauge:
                 self.value = value
                 self.max_value = value
 
+    def merge(self, value: float, max_value: float) -> None:
+        """Fold in another gauge's reading: the larger value and the
+        larger high-water mark win."""
+        with self._lock:
+            self.value = max(self.value, value)
+            self.max_value = max(self.max_value, max_value)
+
 
 class Histogram:
     """A log-bucketed distribution of an observed series.
@@ -117,6 +124,35 @@ class Histogram:
             if self.max is None or value > self.max:
                 self.max = value
             self.buckets[bisect_left(self.bounds, value)] += 1
+
+    def export(self) -> dict:
+        """Plain data that `merge` folds into another histogram."""
+        with self._lock:
+            return {
+                "bounds": list(self.bounds),
+                "buckets": list(self.buckets),
+                "count": self.count,
+                "total": self.total,
+                "min": self.min,
+                "max": self.max,
+            }
+
+    def merge(self, data: Mapping) -> None:
+        """Fold in another histogram's `export`: counts, totals and
+        buckets add, min and max take the extremes."""
+        if tuple(data["bounds"]) != self.bounds:
+            raise ValueError(f"{self.name}: bucket bounds differ")
+        with self._lock:
+            self.count += data["count"]
+            self.total += data["total"]
+            for index, bucket_count in enumerate(data["buckets"]):
+                self.buckets[index] += bucket_count
+            if data["count"]:
+                if self.min is None:
+                    self.min, self.max = data["min"], data["max"]
+                else:
+                    self.min = min(self.min, data["min"])
+                    self.max = max(self.max, data["max"])
 
     @property
     def mean(self) -> float | None:
@@ -262,22 +298,51 @@ class Metrics:
             else:
                 self.counter(f"{prefix}.{key}").inc(value)
 
-    def with_counters(self, counts: Mapping[str, int]) -> "Metrics":
-        """A registry with this one's gauges and histograms and its
-        counters plus ``counts`` (how a process-mode server reports the
-        counters its shards collected)."""
+    def export(self) -> dict:
+        """Every instrument as plain (picklable) data for `absorb`:
+        how a shard process sends its work to the dispatcher."""
+        counters, gauges, histograms = self._instruments()
+        return {
+            "counters": {name: counter.value for name, counter in counters},
+            "gauges": {
+                name: (gauge.value, gauge.max_value) for name, gauge in gauges
+            },
+            "histograms": {
+                name: hist.export() for name, hist in histograms
+            },
+        }
+
+    def absorb(self, exported: Mapping) -> None:
+        """Merge another registry's `export` into this one: counters
+        add, gauges keep the larger value and mark, histograms add
+        bucket by bucket."""
+        for name, value in exported.get("counters", {}).items():
+            self.counter(name).inc(value)
+        for name, (value, max_value) in exported.get("gauges", {}).items():
+            with self._lock:
+                gauge = self._gauges.get(name)
+                if gauge is None:
+                    # A copy, not a max against the fresh gauge's 0.
+                    gauge = self._gauges[name] = Gauge(name)
+                    gauge.value, gauge.max_value = value, max_value
+                    continue
+            gauge.merge(value, max_value)
+        for name, data in exported.get("histograms", {}).items():
+            with self._lock:
+                hist = self._histograms.get(name)
+                if hist is None:
+                    hist = self._histograms[name] = Histogram(
+                        name, tuple(data["bounds"])
+                    )
+            hist.merge(data)
+
+    def merged(self, exported: Mapping) -> "Metrics":
+        """A fresh registry holding this one's instruments merged with
+        ``exported`` (how a process-mode server reports the work its
+        shards did); this registry is left untouched."""
         view = Metrics()
-        with self._lock:
-            view._gauges = dict(self._gauges)
-            view._histograms = dict(self._histograms)
-            totals = {
-                name: counter.value
-                for name, counter in self._counters.items()
-            }
-        for name, value in counts.items():
-            totals[name] = totals.get(name, 0) + value
-        for name, value in totals.items():
-            view.counter(name).inc(value)
+        view.absorb(self.export())
+        view.absorb(exported)
         return view
 
     def _instruments(self) -> tuple[list, list, list]:

@@ -1,38 +1,17 @@
-"""`repro.perf`: the performance layer.
+"""`repro.perf`: parallel batch running and the regression benchmark.
 
-Three independent mechanisms, combinable per analyzer run via the
-``cache`` argument (``PerfConfig.resolve`` semantics):
-
-- **interning / hash-consing** (`Interner`): structurally equal
-  abstract stores and values become pointer-equal, with a join memo
-  on interned pairs — semantically invisible, on by default;
-- **eval memoization** (wired into the analyzers through
-  `repro.analysis.common.WorkBudgetMixin`): complete, context-free
-  sub-derivation summaries are reused, collapsing the Section 6.2
-  duplication families from exponential to linear visits while
-  keeping results bit-identical — off by default (it changes visit
-  counts);
 - **parallel batch running** (`parallel_map` over
   `repro.perf.pool.PersistentPool`): an order-preserving map across
   long-lived, warm-once worker processes, used by the survey and
   report fan-outs (``--jobs N``) and, via `repro.serve.shard`, by the
   multi-process service.
-
-`repro.perf.bench` (imported lazily by the CLI, since it depends on
-the analyzers) times corpus and blowup-family workloads with the
-caches on and off and writes ``BENCH_perf.json``.
+- `repro.perf.bench` (imported lazily by the CLI, since it depends on
+  the analyzers) times corpus and blowup-family workloads with the
+  analyzers' eval memo (`repro.analysis.common.WorkBudgetMixin`,
+  ``cache=True``) on and off and writes ``BENCH_perf.json``.
 """
 
 from repro.perf.batch import effective_jobs, parallel_map
-from repro.perf.intern import (
-    DEFAULT_CONFIG,
-    FULL_CONFIG,
-    OFF_CONFIG,
-    Interner,
-    JoinMemo,
-    PerfConfig,
-    PerfStats,
-)
 from repro.perf.pool import (
     PersistentPool,
     WorkerCrashed,
@@ -42,13 +21,6 @@ from repro.perf.pool import (
 )
 
 __all__ = [
-    "DEFAULT_CONFIG",
-    "FULL_CONFIG",
-    "OFF_CONFIG",
-    "Interner",
-    "JoinMemo",
-    "PerfConfig",
-    "PerfStats",
     "PersistentPool",
     "WorkerCrashed",
     "effective_jobs",

@@ -1,8 +1,8 @@
 """The `repro.perf` regression benchmark (``python -m repro bench``).
 
-Times representative workloads with the caches off and on, checks the
+Times representative workloads with the eval cache off and on, checks the
 cached answers are identical to the uncached ones, and writes the
-result as ``BENCH_perf.json`` (schema ``repro.perf.bench/8``).  The
+result as ``BENCH_perf.json`` (schema ``repro.perf.bench/9``).  The
 CI smoke job runs ``--quick`` and fails on a malformed payload or on
 any cached/uncached divergence.
 
@@ -58,7 +58,7 @@ from typing import Any, Callable
 
 from repro.analysis.registry import analyzer_class, check_engine
 
-SCHEMA = "repro.perf.bench/8"
+SCHEMA = "repro.perf.bench/9"
 
 #: Workloads faster than this (uncached) are too small to time: their
 #: speedup ratios are dominated by scheduler jitter, so they carry
@@ -75,9 +75,6 @@ _CACHED_FIELDS = _RUN_FIELDS + (
     "eval_cache_hits",
     "eval_cache_rejects",
     "eval_cache_hit_rate",
-    "intern_store_hits",
-    "join_memo_hits",
-    "bytes_saved",
 )
 _ENGINE_TREE_FIELDS = ("wall_s", "visits")
 _ENGINE_PLAN_FIELDS = ("compile_s", "run_s", "visits")
@@ -127,7 +124,7 @@ def _workload(
     make: Callable[[bool], Any],
     repeat: int,
 ) -> dict:
-    """Run one workload with the caches off then fully on."""
+    """Run one workload with the eval cache off then on."""
     an_off, res_off, wall_off = _timed(lambda: make(False), repeat)
     an_on, res_on, wall_on = _timed(lambda: make(True), repeat)
     perf = an_on.perf
@@ -144,9 +141,6 @@ def _workload(
             "eval_cache_hits": perf.eval_cache_hits,
             "eval_cache_rejects": perf.eval_cache_rejects,
             "eval_cache_hit_rate": perf.eval_cache_hit_rate,
-            "intern_store_hits": perf.intern_store_hits,
-            "join_memo_hits": perf.join_memo_hits,
-            "bytes_saved": perf.bytes_saved,
         },
         "speedup": wall_off / wall_on if wall_on > 0 else 0.0,
         "noise_exempt": wall_off < NOISE_FLOOR_S,

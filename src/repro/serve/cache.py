@@ -3,9 +3,8 @@
 Keys are the canonical request digests of :func:`repro.serve.jobs.
 cache_key`; values are fully serialized response bodies, so a cache
 hit returns a byte-identical payload without re-running (or even
-re-touching) the analyzers.  Caching the serialized form follows the
-same canonical-representative idea as `repro.perf` interning: one
-stored object stands in for every structurally equal request.
+re-touching) the analyzers.  One stored body stands in for every
+request with the same canonical key.
 
 Thread-safe: the server's handler threads probe it concurrently.
 Hits emit a ``cache.hit`` trace event (component ``serve.cache``) and

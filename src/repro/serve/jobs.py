@@ -486,7 +486,7 @@ def _execute_analyze(
         max_visits=spec["max_visits"],
         trace=trace,
         metrics=metrics,
-        cache=True if spec["cache"] else None,
+        cache=spec["cache"],
     )
     if spec["analyzer"] == "polyvariant":
         result = result.collapse()
@@ -601,7 +601,7 @@ def _execute_compare(
         max_visits=spec["max_visits"],
         trace=trace,
         metrics=metrics,
-        cache=True if spec["cache"] else None,
+        cache=spec["cache"],
         engine=spec["engine"],
     )
     deadline.check()

@@ -513,14 +513,15 @@ class AnalysisService:
 
         Process mode aggregates the shard-local result caches into the
         top-level ``cache`` block (so dashboards keep one hit-rate),
-        sums the shards' counters (``analysis.*``, ``perf.*``,
-        ``serve.cache.*``) into ``metrics.counters``, and reports each
-        shard's cache and plan cache under ``shards``."""
+        merges the shards' metrics (``analysis.*``, ``perf.*``,
+        ``serve.cache.*`` counters, gauges and histograms) into
+        ``metrics``, and reports each shard's cache and plan cache
+        under ``shards``."""
         from repro.machine.absplan import PLAN_CACHE
 
         executor = self.executor.snapshot()
-        # Process mode: the counters the shards collected.
-        metrics = self.metrics.with_counters(executor.pop("counters", {}))
+        # Process mode: the instruments the shards collected.
+        metrics = self.metrics.merged(executor.pop("shard_metrics", {}))
         body = {
             "metrics": metrics.snapshot(quantiles=True),
             "worker_model": self.worker_model,
@@ -557,7 +558,7 @@ class AnalysisService:
                 self.metrics.gauge(f"serve.incr_store.{name}").set(
                     block.get(name, 0)
                 )
-        metrics = self.metrics.with_counters(executor.get("counters", {}))
+        metrics = self.metrics.merged(executor.get("shard_metrics", {}))
         return metrics.to_prometheus()
 
     def _count(self, name: str) -> None:

@@ -150,9 +150,9 @@ def _shard_main(
                     "processed": processed,
                     "cache": pipeline.cache.snapshot(),
                     "plan_cache": PLAN_CACHE.snapshot(),
-                    # The analyzer and response-cache counters the
-                    # shard's requests collected.
-                    "counters": pipeline.metrics.snapshot()["counters"],
+                    # The analyzer and response-cache instruments
+                    # the shard's requests collected.
+                    "metrics": pipeline.metrics.export(),
                     "incr_store": (
                         None
                         if incr_store is None
@@ -451,22 +451,22 @@ class ShardedExecutor:
         """This executor's part of the ``/metricsz`` body: the shard
         result caches summed into one ``cache`` block (so dashboards
         keep one hit rate), each shard's own statistics, and the
-        shards' metric counters summed under ``counters`` (the server
+        shards' metrics merged under ``shard_metrics`` (counters
+        summed, gauges by max, histograms bucket by bucket; the server
         folds them into its registry's)."""
         shards = self.stats()
         cache = dict.fromkeys(
             ("hits", "misses", "evictions", "size", "capacity"), 0
         )
-        counters: dict[str, int] = {}
+        metrics = Metrics()
         for shard in shards:
             for name, value in (shard.get("cache") or {}).items():
                 if name in cache:
                     cache[name] += value
-            for name, value in shard.pop("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
+            metrics.absorb(shard.pop("metrics", {}))
         depth = self.queue_depth
         return {
-            "counters": counters,
+            "shard_metrics": metrics.export(),
             "cache": cache,
             "shards": shards,
             "queue": {

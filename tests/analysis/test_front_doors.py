@@ -215,3 +215,19 @@ def test_k_flag_runs_the_polyvariant_analyzer_with_json(capsys):
         "--analyzer", "polyvariant", "--k", "1", "--json",
     )
     assert json.loads(named) == payload
+
+
+@pytest.mark.parametrize("analyzer", ["direct", "semantic-cps", "pushdown"])
+def test_k_with_another_analyzer_is_refused_at_every_door(capsys, analyzer):
+    message = "'k' only applies to the polyvariant analyzer"
+    with pytest.raises(ServeError) as info:
+        execute_request(
+            "analyze",
+            {"corpus": "theorem-5.1", "analyzer": analyzer, "k": 2},
+        )
+    assert info.value.code == "bad_request"
+    assert message in str(info.value)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "-e", "(add1 1)", "--analyzer", analyzer, "--k", "2"])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err

@@ -227,7 +227,7 @@ class TestParityFramework:
 
 
 class TestMfpJoinMemo:
-    """`solve_mfp(..., cache=True)` memoizes fact joins (repro.perf)
+    """`solve_mfp(..., cache=True)` memoizes fact joins (`JoinMemo`)
     without moving the solution."""
 
     PROGRAMS = [

@@ -131,27 +131,11 @@ class TestAbsStore:
 
     def test_joined_bind_no_op_returns_self(self):
         # Re-binding a value the entry already absorbs must not build
-        # a fresh store: loop detection and the perf caches key on
-        # store identity/equality, and this is the hot path.
+        # a fresh store: loop detection and the eval memo key on
+        # store equality, and this is the hot path.
         store = AbsStore(LAT, {"x": LAT.of_num(TOP)})
         assert store.joined_bind("x", LAT.of_const(1)) is store
         assert store.joined_bind("x", LAT.of_num(TOP)) is store
-
-    def test_joined_bind_intern_hook(self):
-        seen = []
-
-        def intern(value):
-            seen.append(value)
-            return value
-
-        store = AbsStore(LAT).joined_bind(
-            "x", LAT.of_const(1), intern=intern
-        )
-        assert store.get("x").num == 1
-        assert seen == [LAT.of_const(1)]
-        # The no-op path never consults the interner.
-        store.joined_bind("x", LAT.of_const(1), intern=intern)
-        assert len(seen) == 1
 
     def test_join_short_circuits_on_identity(self):
         store = AbsStore(LAT, {"x": LAT.of_const(1)})

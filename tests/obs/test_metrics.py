@@ -222,6 +222,51 @@ class TestMergeStats:
         assert metrics.gauge("analysis.direct.max_depth").max_value == 2
 
 
+class TestMerge:
+    """`export`/`absorb`/`merged`: how a process-mode server folds its
+    shards' registries into one."""
+
+    @staticmethod
+    def shard(visits, depth, observations):
+        metrics = Metrics()
+        metrics.counter("visits").inc(visits)
+        metrics.gauge("depth").set_max(depth)
+        for value in observations:
+            metrics.histogram("seconds").observe(value)
+        return metrics
+
+    def test_counters_add_gauges_max_histograms_add_buckets(self):
+        merged = Metrics()
+        merged.absorb(self.shard(3, 5, [0.001, 0.5]).export())
+        merged.absorb(self.shard(4, 2, [0.002]).export())
+        assert merged.counter("visits").value == 7
+        gauge = merged.gauge("depth")
+        assert (gauge.value, gauge.max_value) == (5, 5)
+        hist = merged.histogram("seconds")
+        both = self.shard(0, 0, [0.001, 0.5, 0.002]).histogram("seconds")
+        assert hist.buckets == both.buckets
+        assert (hist.count, hist.min, hist.max) == (3, 0.001, 0.5)
+        assert hist.total == pytest.approx(0.503)
+
+    def test_merged_copies_and_leaves_the_source_alone(self):
+        own = self.shard(1, 0, [0.25])
+        own.gauge("level").set(-2)
+        view = own.merged(self.shard(2, 0, []).export())
+        assert view.counter("visits").value == 3
+        # a gauge absent from the other side is copied, not maxed with 0
+        assert view.gauge("level").value == -2
+        assert own.counter("visits").value == 1
+        assert own.histogram("seconds").count == 1
+        assert view.snapshot()["histograms"] == own.snapshot()["histograms"]
+
+    def test_mismatched_bounds_are_refused(self):
+        metrics = Metrics()
+        metrics.histogram("seconds").observe(1.0)
+        other = Histogram("seconds", bounds=(1.0, 2.0))
+        with pytest.raises(ValueError, match="bounds differ"):
+            metrics.histogram("seconds").merge(other.export())
+
+
 class TestSnapshot:
     def test_nested_json_friendly_shape(self):
         metrics = Metrics()

@@ -1,144 +1,22 @@
-"""Tests for `repro.perf.intern`: hash-consing and join memoization.
+"""Tests for `repro.dataflow.mfp.JoinMemo`, and a guard that store
+interning stays deleted.
 
-The load-bearing invariant: interning is *semantics-free*.  The
-canonical representative of a store/value is structurally equal to
-what went in, two objects intern to the same representative iff they
-are equal, and the join memo caches exactly `AbsStore.join`.
+The analyzers once hash-consed stores and values and memoized store
+joins by default; an A/B against the incremental store hash showed the
+layer cost more CPU and memory than it saved, so it was removed.  The
+MFP solver's `JoinMemo` (``dataflow --cache``) is the one join memo
+left.
 """
 
-import pytest
-
-from repro.domains import AbsStore, AbsVal, ConstPropDomain, Lattice
-from repro.domains.constprop import TOP
-from repro.perf import (
-    DEFAULT_CONFIG,
-    FULL_CONFIG,
-    OFF_CONFIG,
-    Interner,
-    JoinMemo,
-    PerfConfig,
-)
-
-LAT = Lattice(ConstPropDomain())
+import repro.perf
+from repro.dataflow.mfp import JoinMemo
 
 
-def store_of(**bindings: int) -> AbsStore:
-    return AbsStore(
-        LAT, {name: LAT.of_const(num) for name, num in bindings.items()}
-    )
-
-
-class TestPerfConfigResolve:
-    def test_none_is_default(self):
-        config = PerfConfig.resolve(None)
-        assert config is DEFAULT_CONFIG
-        assert config.intern and config.join_memo and not config.memo
-
-    def test_true_is_full(self):
-        assert PerfConfig.resolve(True) is FULL_CONFIG
-        assert FULL_CONFIG.memo
-
-    def test_false_is_off(self):
-        config = PerfConfig.resolve(False)
-        assert config is OFF_CONFIG
-        assert not (config.intern or config.join_memo or config.memo)
-
-    def test_config_passes_through(self):
-        config = PerfConfig(intern=False, join_memo=False, memo=True)
-        assert PerfConfig.resolve(config) is config
-
-    def test_garbage_rejected(self):
-        with pytest.raises(TypeError):
-            PerfConfig.resolve("yes please")
-
-
-class TestInternerInvariant:
-    def test_equal_stores_intern_to_one_object(self):
-        interner = Interner()
-        a = store_of(x=1, y=2)
-        b = store_of(x=1, y=2)
-        assert a is not b and a == b
-        assert interner.store(a) is interner.store(b)
-
-    def test_unequal_stores_stay_distinct(self):
-        interner = Interner()
-        a = interner.store(store_of(x=1))
-        b = interner.store(store_of(x=2))
-        assert a is not b
-
-    def test_canonical_is_structurally_equal(self):
-        interner = Interner()
-        original = store_of(x=1, y=2)
-        interner.store(store_of(x=1, y=2))
-        canon = interner.store(original)
-        assert canon == original
-        assert dict(canon.items()) == dict(original.items())
-
-    def test_iff_direction_over_a_population(self):
-        # intern(a) is intern(b)  <=>  a == b, over a small population.
-        interner = Interner()
-        stores = [
-            store_of(),
-            store_of(x=1),
-            store_of(x=1),
-            store_of(x=2),
-            store_of(x=1, y=2),
-            store_of(y=2, x=1),
-        ]
-        for a in stores:
-            for b in stores:
-                same = interner.store(a) is interner.store(b)
-                assert same == (a == b)
-
-    def test_value_interning(self):
-        interner = Interner()
-        a = AbsVal(TOP, frozenset())
-        b = AbsVal(TOP, frozenset())
-        assert interner.value(a) is interner.value(b)
-        assert interner.value(LAT.of_const(1)) is not interner.value(
-            LAT.of_const(2)
-        )
-
-    def test_stats_count_hits_and_misses(self):
-        interner = Interner()
-        interner.store(store_of(x=1))
-        interner.store(store_of(x=1))
-        interner.store(store_of(x=2))
-        assert interner.stats.intern_store_misses == 2
-        assert interner.stats.intern_store_hits == 1
-        assert interner.stats.bytes_saved > 0
-
-
-class TestJoinStores:
-    def test_join_matches_plain_join(self):
-        interner = Interner()
-        a = store_of(x=1)
-        b = store_of(x=2, y=3)
-        assert interner.join_stores(a, b) == a.join(b)
-
-    def test_join_is_memoized(self):
-        interner = Interner()
-        a = store_of(x=1)
-        b = store_of(x=2)
-        first = interner.join_stores(a, b)
-        # Same pair again, through fresh (equal) objects.
-        second = interner.join_stores(store_of(x=1), store_of(x=2))
-        assert first is second
-        assert interner.stats.join_memo_hits == 1
-        assert interner.stats.join_memo_misses == 1
-
-    def test_join_is_commutative_in_the_memo(self):
-        interner = Interner()
-        a = store_of(x=1)
-        b = store_of(x=2)
-        assert interner.join_stores(a, b) is interner.join_stores(b, a)
-        assert interner.stats.join_memo_misses == 1
-
-    def test_identical_operands_short_circuit(self):
-        interner = Interner()
-        a = interner.store(store_of(x=1))
-        assert interner.join_stores(a, a) is a
-        assert interner.stats.join_memo_misses == 0
+def test_perf_exports_no_interning_layer():
+    # One opt-in cache (the eval memo, ``cache=True``) is the only
+    # analyzer cache; interning must not return as a default-on path.
+    for name in ("Interner", "PerfConfig"):
+        assert not hasattr(repro.perf, name), name
 
 
 class TestJoinMemo:

@@ -290,52 +290,84 @@ def test_request_histogram_counts_every_post(worker_model):
     assert body["cache"]["hits"] == 1
 
 
-def _work_counters(svc) -> tuple[dict, dict]:
-    """The ``analysis.*``, ``perf.*`` and ``serve.cache.*`` counters of
-    ``svc`` after one miss-then-hit pair: from ``/metricsz`` JSON, and
-    from the Prometheus text."""
+def _work_metrics(svc) -> tuple[dict, dict]:
+    """What ``svc`` reports after one miss-then-hit pair: from
+    ``/metricsz`` JSON, the ``analysis.*``, ``perf.*`` and
+    ``serve.cache.*`` counters and gauges plus every histogram's count;
+    from the Prometheus text, the same counter and gauge lines plus
+    every histogram's ``_count`` line.  Histogram timings differ
+    between runs, so only names and counts are compared."""
     payload = {"corpus": "even-odd", "analyzer": "semantic-cps"}
     post(svc, "/v1/analyze", payload)
     post(svc, "/v1/analyze", payload)
     with urllib.request.urlopen(f"{svc.url}/metricsz") as r:
-        counters = json.loads(r.read())["metrics"]["counters"]
+        metrics = json.loads(r.read())["metrics"]
     with urllib.request.urlopen(f"{svc.url}/metricsz?format=prom") as r:
         text = r.read().decode("utf-8")
     prefixes = ("analysis.", "perf.", "serve.cache.")
-    wanted = {
-        name: value
-        for name, value in counters.items()
-        if name.startswith(prefixes)
+    body = {
+        kind: {
+            name: value
+            for name, value in metrics[kind].items()
+            if name.startswith(prefixes)
+        }
+        for kind in ("counters", "gauges")
+    }
+    body["histograms"] = {
+        name: hist["count"] for name, hist in metrics["histograms"].items()
     }
     lines = text.splitlines()
+    prom_prefixes = tuple("repro_" + p.replace(".", "_") for p in prefixes)
+    values = [line.partition(" ")[::2] for line in lines]
     prom = {
-        name: value
-        for name, _, value in (line.partition(" ") for line in lines)
-        if f"# TYPE {name} counter" in lines
-        and name.startswith(
-            tuple("repro_" + p.replace(".", "_") for p in prefixes)
-        )
+        kind: {
+            name: value
+            for name, value in values
+            if f"# TYPE {name} {kind}" in lines
+            and name.startswith(prom_prefixes)
+        }
+        for kind in ("counter", "gauge")
     }
-    return wanted, prom
+    histograms = {
+        line.split()[2] for line in lines if line.endswith(" histogram")
+    }
+    prom["histogram"] = {
+        name: value
+        for name, value in values
+        if name.endswith("_count") and name[: -len("_count")] in histograms
+    }
+    return body, prom
 
 
 def test_process_metricsz_counts_the_shards_work():
-    # The analyzer and response-cache counters live where the work
+    # The analyzer and response-cache instruments live where the work
     # runs: in process mode that is a shard, and /metricsz must still
-    # report them exactly as the thread server does.
+    # report them as the thread server does.
     results = {}
     for model in ("thread", "process"):
         svc = AnalysisService(port=0, workers=2, worker_model=model)
         try:
-            results[model] = _work_counters(svc)
+            results[model] = _work_metrics(svc)
         finally:
             svc.drain(timeout=15)
-    counters, prom = results["process"]
-    assert counters["serve.cache.hits"] == 1
-    assert counters["analysis.semantic-cps.visits"] > 0
-    assert counters == results["thread"][0]
-    assert prom == results["thread"][1]
-    assert "repro_analysis_semantic_cps_visits" in prom
+    body, prom = results["process"]
+    thread_body, thread_prom = results["thread"]
+    assert body["counters"]["serve.cache.hits"] == 1
+    assert body["counters"]["analysis.semantic-cps.visits"] > 0
+    assert body["gauges"]["analysis.semantic-cps.max_depth"]["max"] > 0
+    assert body["histograms"]["serve.request.seconds"] == 2
+    # The thread server answers a response-cache hit on the handler
+    # thread and queues only the miss; a shard queues both.
+    wait = "serve.queue.wait.seconds"
+    prom_wait = "repro_serve_queue_wait_seconds_count"
+    assert thread_body["histograms"].pop(wait) == 1
+    assert body["histograms"].pop(wait) == 2
+    assert thread_prom["histogram"].pop(prom_wait) == "1"
+    assert prom["histogram"].pop(prom_wait) == "2"
+    assert body == thread_body
+    assert prom == thread_prom
+    assert "repro_analysis_semantic_cps_visits" in prom["counter"]
+    assert "repro_analysis_semantic_cps_max_store_size_max" in prom["gauge"]
 
 
 class TestPrometheusEndpoint:
