@@ -141,7 +141,9 @@ class NodeTable:
     """
 
     def __init__(self, hasher: TermHasher | None = None) -> None:
-        self.hasher = hasher or TermHasher()
+        # `is not None`: an empty TermHasher is falsy (it has a
+        # __len__), and a caller's shared one must still be kept.
+        self.hasher = hasher if hasher is not None else TermHasher()
         #: id(node) -> (root index, path, node)
         self.by_id: dict[int, tuple[int, Path, Any]] = {}
         self.roots: list[Any] = []

@@ -344,7 +344,7 @@ def merkle_diff(
     reports a single dirty path; a shape change reports the enclosing
     node.
     """
-    hasher = hasher or _SHARED
+    hasher = hasher if hasher is not None else _SHARED
     dirty: list[Path] = []
     stack: list[tuple[Path, Any, Any]] = [((), old, new)]
     while stack:

@@ -2,8 +2,8 @@
 
 Every ``POST /v1/<kind>`` body goes through the same steps:
 
-    prepare → response LRU → persistent response tier → execute →
-    serialize → cache put → ``server_timing`` splice
+    prepare (memoized) → response LRU → persistent response tier →
+    execute → serialize → cache put → ``server_timing`` splice
 
 with error classification and the per-request metrics
 (``serve.request.seconds``, ``serve.queue.wait.seconds``,
@@ -22,12 +22,23 @@ the second half:
 
 The pool and the shards only move requests and replies, so the two
 worker models answer byte-identically (test-enforced).
+
+`RequestPipeline.prepare` is the one caller of
+`repro.serve.jobs.prepare_request` here.  It keeps a bounded LRU memo
+from ``(kind, sorted-key JSON of the decoded body)`` to the
+`PreparedRequest`, so a body seen before skips parse, A-normalize and
+the canonical key.  The memo is exact: `prepare_request` is a pure
+function of the kind, the body and the frozen `ServiceDefaults`, and
+nothing downstream writes to a prepared request.  Only successful
+prepares are stored, so a bad body re-raises its error every time.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -115,8 +126,10 @@ class Reply:
 
 
 class RequestPipeline:
-    """The defaults, response caches, trace sink, metrics, and incr
-    store one serve process answers requests with."""
+    """The defaults, prepare memo, response caches, trace sink,
+    metrics, and incr store one serve process answers requests with.
+    ``cache_size`` bounds the prepare memo and the response LRU alike
+    (0 turns both off)."""
 
     def __init__(
         self,
@@ -131,11 +144,46 @@ class RequestPipeline:
         self.trace = trace
         self.incr_store = incr_store
         self.cache = ResultCache(cache_size, metrics=metrics, trace=trace)
+        self._memo_size = cache_size
+        self._memo: "OrderedDict[tuple[str, str], PreparedRequest]" = (
+            OrderedDict()
+        )
+        self._memo_lock = threading.Lock()
         self.tier = (
             PersistentResponseTier(incr_store)
             if incr_store is not None
             else None
         )
+
+    def prepare(self, kind: str, payload: dict) -> PreparedRequest:
+        """`prepare_request` for a decoded JSON body, answered from the
+        memo when the same ``kind`` and body were prepared before.
+
+        A miss records its result only once the prepare succeeds; a
+        body `json.dumps` cannot encode is prepared without the memo.
+        Hits and misses count as ``serve.prepare.memo.hits`` /
+        ``.misses``.
+        """
+        if self._memo_size == 0:
+            return prepare_request(kind, payload, self.defaults)
+        try:
+            memo_key = (kind, json.dumps(payload, sort_keys=True))
+        except (TypeError, ValueError):
+            return prepare_request(kind, payload, self.defaults)
+        with self._memo_lock:
+            prep = self._memo.get(memo_key)
+            if prep is not None:
+                self._memo.move_to_end(memo_key)
+        if prep is not None:
+            self.metrics.counter("serve.prepare.memo.hits").inc()
+            return prep
+        self.metrics.counter("serve.prepare.memo.misses").inc()
+        prep = prepare_request(kind, payload, self.defaults)
+        with self._memo_lock:
+            self._memo[memo_key] = prep
+            if len(self._memo) > self._memo_size:
+                self._memo.popitem(last=False)
+        return prep
 
     def handle(self, kind: str, payload: dict, respond: Callable) -> Reply:
         """One POST body, start to finish, under the active trace.
@@ -150,8 +198,9 @@ class RequestPipeline:
         prep = None
         hit = False
         try:
+            # On a memo hit the span has no ``prepare.*`` children.
             with obs_trace.span("prepare", kind=kind):
-                prep = prepare_request(kind, payload, self.defaults)
+                prep = self.prepare(kind, payload)
             status, body, hit = respond(
                 prep, payload, Deadline(self.defaults.timeout_seconds)
             )

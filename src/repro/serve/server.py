@@ -179,9 +179,11 @@ class AnalysisService:
                 )
             )
             # The shards own the caches and the store connections the
-            # lookup and execute steps use.
+            # lookup and execute steps use; this pipeline only
+            # prepares (through its memo), so its response LRU stays
+            # empty.
             self.pipeline = RequestPipeline(
-                self.defaults, self.metrics, cache_size=0
+                self.defaults, self.metrics, cache_size
             )
             self._respond = self.executor.respond
         else:
@@ -516,7 +518,9 @@ class AnalysisService:
         merges the shards' metrics (``analysis.*``, ``perf.*``,
         ``serve.cache.*`` counters, gauges and histograms) into
         ``metrics``, and reports each shard's cache and plan cache
-        under ``shards``."""
+        under ``shards``.  ``cache.prepare_memo`` carries the
+        ``serve.prepare.memo.*`` counters; in process mode they sum
+        the dispatcher's prepares and the shards' re-prepares."""
         from repro.machine.absplan import PLAN_CACHE
 
         executor = self.executor.snapshot()
@@ -529,6 +533,11 @@ class AnalysisService:
             "cache": self.pipeline.cache.snapshot(),
             "plan_cache": PLAN_CACHE.snapshot(),
             **executor,
+        }
+        counters = body["metrics"]["counters"]
+        body["cache"]["prepare_memo"] = {
+            outcome: counters.get(f"serve.prepare.memo.{outcome}", 0)
+            for outcome in ("hits", "misses")
         }
         body["incr_store"] = (
             self._incr_store_block(body.get("shards"))

@@ -51,12 +51,7 @@ from repro.obs.metrics import Metrics
 from repro.incr.store import open_store
 from repro.perf.pool import warm_analysis_caches
 from repro.serve.codes import ServeError
-from repro.serve.jobs import (
-    Deadline,
-    PreparedRequest,
-    ServiceDefaults,
-    prepare_request,
-)
+from repro.serve.jobs import Deadline, PreparedRequest, ServiceDefaults
 from repro.serve.pipeline import RequestPipeline, error_reply
 
 
@@ -89,7 +84,7 @@ def _shard_request(
     hit = False
     try:
         # Outside the trace: the dispatcher already timed this step.
-        prep = prepare_request(kind, payload, pipeline.defaults)
+        prep = pipeline.prepare(kind, payload)
         with obs_trace.activate(ctx):
             obs_trace.record_span("queue.wait", wait)
             status, body, hit = pipeline.respond(

@@ -9,9 +9,12 @@ CI ``serve-smoke`` job pins under both worker models:
 2. one ``POST /v1/analyze`` matches the in-process analyzer
    byte-for-byte, and repeating it is served from the cross-request
    cache (visible in ``/metricsz``);
-3. an induced ``overloaded`` burst (debug-sleep jobs saturating a
+3. one analyze body posted twice, the second time with its JSON keys
+   reordered and extra whitespace, answers the same bytes both times,
+   and the repeat is counted as a prepare-memo hit;
+4. an induced ``overloaded`` burst (debug-sleep jobs saturating a
    1-worker/1-slot queue) is recovered by the client's backoff;
-4. SIGTERM drains in-flight work and the process exits 0.
+5. SIGTERM drains in-flight work and the process exits 0.
 
 Exits nonzero with a message on the first failed check.
 """
@@ -26,6 +29,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 from repro.serve.client import RetryPolicy, ServiceClient
@@ -78,6 +82,18 @@ def start_server(extra_args: list[str] | None = None) -> tuple:
     return process, url
 
 
+def _post_bytes(url: str, body: str) -> bytes:
+    """The raw response bytes of one ``POST /v1/analyze``."""
+    request = urllib.request.Request(
+        f"{url}/v1/analyze",
+        data=body.encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return response.read()
+
+
 def main(argv: "list[str] | tuple[str, ...]" = ()) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.serve.smoke")
     parser.add_argument(
@@ -107,6 +123,25 @@ def main(argv: "list[str] | tuple[str, ...]" = ()) -> int:
         cache = client.metricsz()["cache"]
         if cache["hits"] < 1:
             return _fail(f"expected a cache hit, got {cache!r}")
+
+        # The prepare memo keys the decoded body: reordered keys and
+        # extra whitespace are the same body, so the repeat skips the
+        # prepare and still answers the same bytes.
+        program = '"(let (a (if0 x 1 2)) (add1 a))"'
+        first = _post_bytes(
+            url, '{"program": %s, "analyzer": "direct"}' % program
+        )
+        before = client.metricsz()["cache"]["prepare_memo"]
+        second = _post_bytes(
+            url, '{\n  "analyzer" : "direct" ,\n  "program" : %s\n}' % program
+        )
+        if first != second:
+            return _fail("a reordered analyze body answered other bytes")
+        memo = client.metricsz()["cache"]["prepare_memo"]
+        if memo["hits"] <= before["hits"]:
+            return _fail(
+                f"expected a prepare-memo hit: {before!r} -> {memo!r}"
+            )
 
         # Saturate the 1-worker/1-slot server with sleeping jobs, then
         # watch the client's backoff ride out the `overloaded` burst.
@@ -154,6 +189,7 @@ def main(argv: "list[str] | tuple[str, ...]" = ()) -> int:
                 "ok": True,
                 "worker_model": args.worker_model,
                 "cache_hits": cache["hits"],
+                "prepare_memo_hits": memo["hits"],
                 "retries": client.retries_performed,
             }
         )

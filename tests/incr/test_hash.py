@@ -160,3 +160,32 @@ class TestMerkleDiff:
         for path in paths:
             edited = replace_at(edited, path, Num(77))
         assert merkle_diff(term, edited) == sorted(paths)
+
+    def test_uses_an_empty_passed_hasher(self):
+        # An empty TermHasher is falsy (it has a __len__); the passed
+        # one must still be the one that fills.
+        hasher = TermHasher()
+        merkle_diff(anf(FACT), anf(FACT), hasher)
+        assert len(hasher) > 0
+
+
+class TestSharedHasher:
+    def test_recorder_fills_the_empty_hasher_it_is_given(self):
+        from repro.analysis.semantic_cps import SemanticCpsAnalyzer
+        from repro.incr.recorder import SummaryRecorder
+        from repro.incr.store import IncrStore
+
+        term = anf(FACT)
+        hasher = TermHasher()
+        assert not hasher  # the falsy case the recorder must survive
+        analyzer = SemanticCpsAnalyzer(term, cache=True)
+        with IncrStore(":memory:") as store:
+            recorder = SummaryRecorder(
+                analyzer,
+                store,
+                program=term,
+                initial_store=analyzer.initial_store,
+                hasher=hasher,
+            )
+        assert recorder.table.hasher is hasher
+        assert len(hasher) > 0
