@@ -8,6 +8,9 @@ the tuple-backed `SlotStore`:
 
 - no ``isinstance`` dispatch per visit: one integer opcode switch;
 - no name hashing in the store: integer slots into a tuple;
+- O(1) store binds: each new store derives its hash from its parent's
+  and bottom slots are found by identity, so the ``(pc, store)`` key
+  of a fresh store never re-hashes every slot;
 - no per-visit ``AbsVal`` construction for literals: a constant pool
   materialized once per run;
 - Section 4.4 loop detection keys on ``(pc, store)`` with slot-store
@@ -200,7 +203,7 @@ class _SlotEngine(WorkBudgetMixin):
         size = after.size
         if size > self.stats.max_store_size:
             self.stats.max_store_size = size
-        if after is not store and not self.lattice.is_bottom(before):
+        if after is not store and before is not self.lattice.bottom:
             self.stats.widenings += 1
             if self._emit is not None:
                 self._emit(

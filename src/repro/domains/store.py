@@ -18,6 +18,7 @@ A store's hash is the sum of ``hash((name, value))`` over its entries,
 modulo 2**61.  The sum does not depend on iteration order, so equal
 tables hash equal, and `joined_bind` derives the child's hash from the
 parent's in O(1): subtract the old entry's hash, add the new one's.
+`SlotStore` hashes the same way, with slots in place of names.
 """
 
 from __future__ import annotations
@@ -192,11 +193,22 @@ class SlotStore:
     Same lattice semantics as `AbsStore`, but variables have been
     resolved to dense integer slots at plan-compile time (the
     unique-binder invariant makes the mapping total), so the table is a
-    flat tuple indexed by slot: O(1) reads, O(n) copy-on-write updates
-    with no hashing of names, and equality/hashing over a tuple of
-    values.  Unbound slots hold bottom; ``size`` counts the
-    non-bottom entries so `__len__` agrees with the equivalent
+    flat tuple indexed by slot: O(1) reads and O(n) copy-on-write
+    updates with no hashing of names.
+
+    Every unbound slot holds the lattice's own ``bottom`` object, so
+    "is this slot bottom" is an identity test.  The constructor's
+    callers establish that invariant (no other bottom-equal value in
+    ``vals``); `joined_bind` and `join` keep it.  ``size`` counts the
+    non-bottom slots so `__len__` agrees with the equivalent
     `AbsStore`.
+
+    The hash follows `AbsStore`: the sum of ``hash((slot, value))``
+    over the non-bottom slots, modulo 2**61.  `joined_bind` derives the
+    child's hash from the parent's in O(1), and `join` from the slots
+    it changed, so keying the Section 4.4 loop detection on a new store
+    never re-hashes the whole tuple.  A ``hash_`` given to the
+    constructor must equal that sum.
 
     The identity contract mirrors `AbsStore` exactly — `joined_bind`
     returns ``self`` iff the variable was already bound (non-bottom)
@@ -207,17 +219,16 @@ class SlotStore:
     __slots__ = ("_lattice", "vals", "size", "_hash")
 
     def __init__(
-        self, lattice: Lattice, vals: tuple[AbsVal, ...], size: int
+        self,
+        lattice: Lattice,
+        vals: tuple[AbsVal, ...],
+        size: int,
+        hash_: int | None = None,
     ) -> None:
         self._lattice = lattice
         self.vals = vals
         self.size = size
-        self._hash: int | None = None
-
-    @classmethod
-    def empty(cls, lattice: Lattice, slots: int) -> "SlotStore":
-        """An all-bottom store with ``slots`` locations."""
-        return cls(lattice, (lattice.bottom,) * slots, 0)
+        self._hash = hash_
 
     @property
     def lattice(self) -> Lattice:
@@ -234,17 +245,28 @@ class SlotStore:
     def joined_bind(self, slot: int, value: AbsVal) -> "SlotStore":
         """The paper's ``sigma[x := sigma(x) u u]`` update, by slot."""
         lattice = self._lattice
+        bottom = lattice.bottom
         current = self.vals[slot]
-        joined = lattice.join(current, value)
-        current_bottom = lattice.is_bottom(current)
-        if not current_bottom and joined == current:
-            return self
+        if current is bottom:
+            if value is bottom or lattice.is_bottom(value):
+                # Binding bottom to an unbound slot: a fresh store,
+                # equal to this one.
+                return SlotStore(lattice, self.vals, self.size, self._hash)
+            joined = value
+            size = self.size + 1
+            delta = hash((slot, value))
+        else:
+            # The join of a non-bottom value is never bottom.
+            joined = lattice.join(current, value)
+            if joined == current:
+                return self
+            size = self.size
+            delta = hash((slot, joined)) - hash((slot, current))
         vals = list(self.vals)
         vals[slot] = joined
-        size = self.size
-        if current_bottom and not lattice.is_bottom(joined):
-            size += 1
-        return SlotStore(lattice, tuple(vals), size)
+        return SlotStore(
+            lattice, tuple(vals), size, (hash(self) + delta) % _HASH_MOD
+        )
 
     def join(self, other: "SlotStore") -> "SlotStore":
         """Pointwise least upper bound of two stores."""
@@ -253,25 +275,33 @@ class SlotStore:
         if self.size == 0:
             return other
         lattice = self._lattice
+        bottom = lattice.bottom
         join = lattice.join
-        vals = tuple(
-            a if a is b else join(a, b)
-            for a, b in zip(self.vals, other.vals)
-        )
-        is_bottom = lattice.is_bottom
-        size = sum(1 for v in vals if not is_bottom(v))
-        return SlotStore(lattice, vals, size)
+        vals = list(self.vals)
+        size = self.size
+        h = hash(self)
+        for slot, (a, b) in enumerate(zip(self.vals, other.vals)):
+            if a is b or b is bottom:
+                continue
+            if a is bottom:
+                vals[slot] = b
+                size += 1
+                h += hash((slot, b))
+            else:
+                joined = vals[slot] = join(a, b)
+                h += hash((slot, joined)) - hash((slot, a))
+        return SlotStore(lattice, tuple(vals), size, h % _HASH_MOD)
 
     def to_abs_store(self, slot_names: tuple[str, ...]) -> AbsStore:
         """The equivalent name-keyed `AbsStore` (for results and the
         differential suite)."""
-        lattice = self._lattice
+        bottom = self._lattice.bottom
         return AbsStore._trusted(
-            lattice,
+            self._lattice,
             {
                 slot_names[i]: v
                 for i, v in enumerate(self.vals)
-                if not lattice.is_bottom(v)
+                if v is not bottom
             },
         )
 
@@ -283,14 +313,19 @@ class SlotStore:
         return self.vals == other.vals
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.vals)
-        return self._hash
+        h = self._hash
+        if h is None:
+            bottom = self._lattice.bottom
+            h = self._hash = sum(
+                hash((slot, v))
+                for slot, v in enumerate(self.vals)
+                if v is not bottom
+            ) % _HASH_MOD
+        return h
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        bottom = self._lattice.bottom
         inner = ", ".join(
-            f"{i} -> {v!r}"
-            for i, v in enumerate(self.vals)
-            if not self._lattice.is_bottom(v)
+            f"{i} -> {v!r}" for i, v in enumerate(self.vals) if v is not bottom
         )
         return f"SlotStore({inner})"

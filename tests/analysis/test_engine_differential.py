@@ -10,7 +10,9 @@ the two engines over:
 - the full corpus, for all four analyzers, over every number domain;
 - the Section 6.2 parametric families, including the
   ``loop-feeding-conditional`` computability workload and an
-  ``unroll`` loop-mode case;
+  ``unroll`` loop-mode case, and the widening- and loop-cut-heavy
+  ``ackermann-open`` (seeded from a non-empty initial store) and
+  ``loop-threshold-open`` programs;
 - 300 seeded random open terms (⊤ initial assumptions);
 - the `repro.perf` caches stacked on top (``cache=True`` on both
   engines must still agree — the caches change the visit counts, but
@@ -33,9 +35,11 @@ from repro.analysis.syntactic_cps import analyze_syntactic_cps
 from repro.anf import normalize
 from repro.corpus.programs import (
     PROGRAMS,
+    ackermann_open,
     call_site_chain,
     conditional_chain,
     loop_feeding_conditional,
+    loop_threshold_open,
     top_conditional_chain,
 )
 from repro.cps import cps_transform
@@ -221,6 +225,8 @@ def test_polyvariant_context_depths(name, k):
         call_site_chain(6),
         top_conditional_chain(10),
         loop_feeding_conditional(3),
+        ackermann_open(),
+        loop_threshold_open(),
     ],
     ids=lambda p: p.name,
 )
