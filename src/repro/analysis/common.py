@@ -169,6 +169,21 @@ class AbsStop:
 A_STOP = AbsStop()
 
 
+def canonical_order(members: frozenset, key: Callable = str):
+    """The closures or continuations of a set, in a canonical order.
+
+    Every application site iterates its closure (or continuation) set
+    through this.  Hash order depends on ``PYTHONHASHSEED`` and on how
+    the set object was built, and with the eval memo on, the order of
+    the branches decides which judgments get memoized first, so the
+    work counts would follow it.  Sorting by ``str`` is canonical
+    because each member prints uniquely in a program with unique
+    binders (polyvariant closures pass their own ``key``); a set of
+    one is returned as it is.
+    """
+    return sorted(members, key=key) if len(members) > 1 else members
+
+
 @dataclass(frozen=True, slots=True)
 class AFrame:
     """An abstract semantic-CPS frame ``(let (x []) M)`` — the
@@ -605,13 +620,14 @@ class WorkBudgetMixin:
     def bind_join(self, store: AbsStore, name, value: AbsVal) -> AbsStore:
         """``sigma[x := sigma(x) u u]`` with widening/store-size
         bookkeeping: a binding that strictly grows past an existing
-        non-bottom value counts as a widening step."""
-        before = store.get(name)
+        non-bottom value counts as a widening step.  An `AbsStore`
+        holds no bottom entry, so "bound" is a membership test."""
+        bound = name in store
         after = store.joined_bind(name, value)
         size = len(after)
         if size > self.stats.max_store_size:
             self.stats.max_store_size = size
-        if after is not store and not self.lattice.is_bottom(before):
+        if after is not store and bound:
             self.stats.widenings += 1
             if self._emit is not None:
                 self._emit(

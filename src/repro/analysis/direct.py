@@ -29,6 +29,7 @@ from repro.analysis.common import (
     AnalysisStats,
     WorkBudgetMixin,
     abstract_value,
+    canonical_order,
     closures_of_store,
     closures_of_term,
     recursion_headroom,
@@ -223,7 +224,7 @@ class DirectAnalyzer(WorkBudgetMixin):
         value = lattice.bottom
         out_store = store
         seen = 0
-        for clo in fun.clos:
+        for clo in canonical_order(fun.clos):
             if clo is A_INC:
                 branch_value = lattice.of_num(domain.add1(arg.num))
                 branch_store = store

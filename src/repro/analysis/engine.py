@@ -43,6 +43,7 @@ from repro.analysis.common import (
     AnalysisStats,
     NonComputableError,
     WorkBudgetMixin,
+    canonical_order,
     check_loop_mode,
     closures_of_store,
     konts_of_store,
@@ -54,6 +55,7 @@ from repro.analysis.polyvariant import (
     CtxVar,
     PolyClo,
     PolyvariantResult,
+    _clo_order,
     _polyvariant_value,
     _truncate,
 )
@@ -423,7 +425,7 @@ class DirectPlanAnalyzer(_SlotEngine):
         value = lattice.bottom
         out_store = store
         seen = 0
-        for clo in fun.clos:
+        for clo in canonical_order(fun.clos):
             if clo is A_INC:
                 branch_value = lattice.of_num(domain.add1(arg.num))
                 branch_store = store
@@ -640,7 +642,7 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
         lattice = self.lattice
         domain = lattice.domain
         answer: AAnswer | None = None
-        for clo in fun.clos:
+        for clo in canonical_order(fun.clos):
             if clo is A_INC:
                 branch = self.ret(
                     kont, lattice.of_num(domain.add1(arg.num)), store
@@ -914,7 +916,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
         lattice = self.lattice
         domain = lattice.domain
         answer: AAnswer | None = None
-        for clo in fun.clos:
+        for clo in canonical_order(fun.clos):
             if clo is A_INCK:
                 branch = self.ret(
                     kont_val, lattice.of_num(domain.add1(arg.num)), store
@@ -944,7 +946,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
         self, kont_val: AbsVal, value: AbsVal, store: SlotStore
     ) -> AAnswer:
         answer: AAnswer | None = None
-        for kont in kont_val.konts:
+        for kont in canonical_order(kont_val.konts):
             self.stats.returns_analyzed += 1
             if kont is A_STOP:
                 branch = AAnswer(value, store)
@@ -1246,7 +1248,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         value = lattice.bottom
         out_store = store
         seen = 0
-        for clo in fun.clos:
+        for clo in canonical_order(fun.clos, _clo_order):
             if clo is A_INC:
                 branch_value = lattice.of_num(domain.add1(arg.num))
                 branch_store = store

@@ -46,6 +46,7 @@ from repro.analysis.common import (
     AbsClo,
     AnalysisStats,
     WorkBudgetMixin,
+    canonical_order,
     recursion_headroom,
 )
 from repro.analysis.registry import analyzer_class
@@ -113,6 +114,13 @@ class PolyClo:
 
     def __str__(self) -> str:
         return f"(cle {self.param})"
+
+
+def _clo_order(clo) -> tuple:
+    """`canonical_order`'s key for polyvariant closures: one lambda
+    can be closed in several contexts, so its ``str`` alone is not
+    unique."""
+    return (str(clo), getattr(clo, "env", ()))
 
 
 def _truncate(ctx: Context, k: int) -> Context:
@@ -352,7 +360,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
         value = lattice.bottom
         out_store = store
         seen = 0
-        for clo in fun.clos:
+        for clo in canonical_order(fun.clos, _clo_order):
             if clo is A_INC:
                 branch_value = lattice.of_num(domain.add1(arg.num))
                 branch_store = store

@@ -77,6 +77,7 @@ from repro.analysis.common import (
     AnalysisStats,
     WorkBudgetMixin,
     abstract_value,
+    canonical_order,
     recursion_headroom,
 )
 from repro.analysis.registry import analyzer_class
@@ -254,7 +255,7 @@ class PushdownAnalyzer(WorkBudgetMixin):
         value = lattice.bottom
         out_store = store
         seen = 0
-        for clo in fun.clos:
+        for clo in canonical_order(fun.clos):
             if clo is A_INC:
                 branch_value = lattice.of_num(domain.add1(arg.num))
                 branch_store = store

@@ -37,6 +37,7 @@ from repro.analysis.common import (
     NonComputableError,
     WorkBudgetMixin,
     abstract_value,
+    canonical_order,
     check_loop_mode,
     closures_of_store,
     closures_of_term,
@@ -243,7 +244,7 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
         lattice = self.lattice
         domain = lattice.domain
         answer: AAnswer | None = None
-        for clo in fun.clos:
+        for clo in canonical_order(fun.clos):
             if clo is A_INC:
                 branch = self.ret(
                     kont, lattice.of_num(domain.add1(arg.num)), store

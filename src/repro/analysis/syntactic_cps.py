@@ -31,6 +31,7 @@ from repro.analysis.common import (
     AnalysisStats,
     NonComputableError,
     WorkBudgetMixin,
+    canonical_order,
     check_loop_mode,
     closures_of_store,
     cps_closures_of_term,
@@ -256,7 +257,7 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
         lattice = self.lattice
         domain = lattice.domain
         answer: AAnswer | None = None
-        for clo in fun.clos:
+        for clo in canonical_order(fun.clos):
             if clo is A_INCK:
                 branch = self.ret(
                     kont_val, lattice.of_num(domain.add1(arg.num)), store
@@ -294,7 +295,7 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
         When several continuations have been merged at one variable,
         this is exactly the false-return confusion of Section 6.1."""
         answer: AAnswer | None = None
-        for kont in kont_val.konts:
+        for kont in canonical_order(kont_val.konts):
             self.stats.returns_analyzed += 1
             if kont is A_STOP:
                 branch = AAnswer(value, store)

@@ -83,14 +83,23 @@ class Lattice:
         return AbsVal(self.domain.bottom, EMPTY, frozenset(konts))
 
     def join(self, a: AbsVal, b: AbsVal) -> AbsVal:
-        """Componentwise least upper bound."""
+        """Componentwise least upper bound, keeping identity.
+
+        Returns ``a`` itself exactly when ``b`` ⊑ ``a``, and otherwise
+        ``b`` itself when ``a`` ⊑ ``b``; only a join that strictly
+        grows past both operands builds a new `AbsVal`.  Callers may
+        therefore test "did the join change ``a``?" with ``is``.
+        """
         if a is b:
             return a
-        return AbsVal(
-            self.domain.join(a.num, b.num),
-            a.clos | b.clos,
-            a.konts | b.konts,
-        )
+        num = self.domain.join(a.num, b.num)
+        a_clos, b_clos = a.clos, b.clos
+        a_konts, b_konts = a.konts, b.konts
+        if num == a.num and b_clos <= a_clos and b_konts <= a_konts:
+            return a
+        if num == b.num and a_clos <= b_clos and a_konts <= b_konts:
+            return b
+        return AbsVal(num, a_clos | b_clos, a_konts | b_konts)
 
     def join_all(self, values: "list[AbsVal] | tuple[AbsVal, ...]") -> AbsVal:
         """Join of a (possibly empty) collection."""
@@ -110,5 +119,5 @@ class Lattice:
     def is_bottom(self, a: AbsVal) -> bool:
         """True when ``a`` carries no information at all."""
         return (
-            self.domain.is_bottom(a.num) and not a.clos and not a.konts
+            not a.clos and not a.konts and self.domain.is_bottom(a.num)
         )

@@ -63,6 +63,11 @@ class ConstPropDomain(NumDomain[ConstValue]):
     def const(self, n: int) -> ConstValue:
         return n
 
+    def is_bottom(self, a: ConstValue) -> bool:
+        # `BOT` is a singleton (`join` already tests it by identity,
+        # and the incr codec decodes to it).
+        return a is BOT
+
     def join(self, a: ConstValue, b: ConstValue) -> ConstValue:
         if a is BOT:
             return b

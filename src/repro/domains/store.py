@@ -18,11 +18,14 @@ A store's hash is the sum of ``hash((name, value))`` over its entries,
 modulo 2**61.  The sum does not depend on iteration order, so equal
 tables hash equal, and `joined_bind` derives the child's hash from the
 parent's in O(1): subtract the old entry's hash, add the new one's.
+`join` does the same for each entry it changes.
 `SlotStore` hashes the same way, with slots in place of names.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import is_not
 from typing import Iterable, Iterator, Mapping
 
 from repro.domains.absval import AbsVal, Lattice
@@ -111,7 +114,7 @@ class AbsStore:
             joined = lattice.join(lattice.bottom, value)
         else:
             joined = lattice.join(current, value)
-            if joined == current:
+            if joined is current:
                 return self
         parent_hash = hash(self)
         if current is None:
@@ -130,18 +133,37 @@ class AbsStore:
         return AbsStore._trusted(lattice, table, child_hash % _HASH_MOD)
 
     def join(self, other: "AbsStore") -> "AbsStore":
-        """Pointwise least upper bound of two stores."""
+        """Pointwise least upper bound of two stores.
+
+        Returns ``self`` when ``other`` adds nothing to it.  Otherwise
+        only the entries whose join is not the old value itself (see
+        `Lattice.join`) are written, and the result's hash is derived
+        from ``self``'s the way `joined_bind` derives it.
+        """
         if self is other or not other._table:
             return self
-        if not self._table:
+        mine = self._table
+        if not mine:
             return other
-        table = dict(self._table)
+        join = self._lattice.join
+        table = None
+        h = hash(self)
         for name, value in other._table.items():
-            existing = table.get(name)
-            table[name] = (
-                value if existing is None else self._lattice.join(existing, value)
-            )
-        return AbsStore._trusted(self._lattice, table)
+            existing = mine.get(name)
+            if existing is None:
+                joined = value
+                h += hash((name, value))
+            else:
+                joined = join(existing, value)
+                if joined is existing:
+                    continue
+                h += hash((name, joined)) - hash((name, existing))
+            if table is None:
+                table = dict(mine)
+            table[name] = joined
+        if table is None:
+            return self
+        return AbsStore._trusted(self._lattice, table, h % _HASH_MOD)
 
     def leq(self, other: "AbsStore") -> bool:
         """Pointwise order: every entry at least as precise in ``other``."""
@@ -210,6 +232,11 @@ class SlotStore:
     never re-hashes the whole tuple.  A ``hash_`` given to the
     constructor must equal that sum.
 
+    Because `Lattice.join` returns an operand whenever the join adds
+    nothing to it, "unchanged" is an identity test here too: `join`
+    finds the slots whose values are different objects at C speed,
+    visits only those, and skips any whose join is the old value.
+
     The identity contract mirrors `AbsStore` exactly — `joined_bind`
     returns ``self`` iff the variable was already bound (non-bottom)
     and the join did not change it — because the analyzers' widening
@@ -258,7 +285,7 @@ class SlotStore:
         else:
             # The join of a non-bottom value is never bottom.
             joined = lattice.join(current, value)
-            if joined == current:
+            if joined is current:
                 return self
             size = self.size
             delta = hash((slot, joined)) - hash((slot, current))
@@ -269,7 +296,8 @@ class SlotStore:
         )
 
     def join(self, other: "SlotStore") -> "SlotStore":
-        """Pointwise least upper bound of two stores."""
+        """Pointwise least upper bound of two stores; ``self`` when
+        ``other`` adds nothing to it."""
         if self is other or other.size == 0:
             return self
         if self.size == 0:
@@ -277,19 +305,28 @@ class SlotStore:
         lattice = self._lattice
         bottom = lattice.bottom
         join = lattice.join
-        vals = list(self.vals)
+        mine, theirs = self.vals, other.vals
+        vals = None
         size = self.size
         h = hash(self)
-        for slot, (a, b) in enumerate(zip(self.vals, other.vals)):
-            if a is b or b is bottom:
+        for slot in compress(count(), map(is_not, mine, theirs)):
+            a, b = mine[slot], theirs[slot]
+            if b is bottom:
                 continue
             if a is bottom:
-                vals[slot] = b
+                joined = b
                 size += 1
                 h += hash((slot, b))
             else:
-                joined = vals[slot] = join(a, b)
+                joined = join(a, b)
+                if joined is a:
+                    continue
                 h += hash((slot, joined)) - hash((slot, a))
+            if vals is None:
+                vals = list(mine)
+            vals[slot] = joined
+        if vals is None:
+            return self
         return SlotStore(lattice, tuple(vals), size, h % _HASH_MOD)
 
     def to_abs_store(self, slot_names: tuple[str, ...]) -> AbsStore:

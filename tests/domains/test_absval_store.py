@@ -1,5 +1,7 @@
 """Tests for abstract values (product lattice) and abstract stores."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,7 +206,8 @@ class TestStoreInvariants:
     """Stores derived through the trusted internal constructor
     (`joined_bind`, `join`, `restrict`) keep the invariants the public
     constructor establishes: no bottom entry, and a cached hash equal
-    to the one a freshly built equal store computes."""
+    to the one a freshly built equal store computes (`joined_bind` and
+    `join` derive theirs from the parent's)."""
 
     @staticmethod
     def check(store: AbsStore) -> None:
@@ -241,6 +244,25 @@ class TestStoreInvariants:
             for b in stores:
                 if a == b:
                     assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_join_derives_the_fresh_hash(self, seed):
+        """Joins of stores that bind the same names to different
+        values, so `join` must update the hashes of changed entries;
+        an ``other`` that adds nothing returns ``self``."""
+        rng = random.Random(f"abs-store-join/{seed}")
+        stores = [AbsStore(LAT)]
+        for _ in range(30):
+            store = rng.choice(stores)
+            stores.append(
+                store.joined_bind(f"v{rng.randrange(5)}", val(rng.randrange(24)))
+            )
+        for a in stores[::3]:
+            for b in stores[::3]:
+                result = a.join(b)
+                self.check(result)
+                if b.leq(a):
+                    assert result is a
 
     def test_bind_bottom_to_unbound_returns_fresh_equal_store(self):
         store = AbsStore(LAT, {"y": LAT.of_const(1)})

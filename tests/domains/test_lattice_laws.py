@@ -11,19 +11,41 @@ For each domain we check, on elements generated from integer seeds:
 - transfer functions are *sound* with respect to concrete arithmetic;
 - the branch predicates cover concrete reality (if n is abstracted by
   a and n == 0 then may_be_zero(a), etc.).
+
+The product lattice's `Lattice.join` also keeps identity: it returns
+an operand whenever the join adds nothing to it, which the stores'
+"unchanged" tests rely on.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.common import (
+    A_DEC,
+    A_DECK,
+    A_INC,
+    A_INCK,
+    A_STOP,
+    AbsClo,
+    AbsCo,
+    AbsCpsClo,
+)
+from repro.cps.ast import CVar
 from repro.domains import (
+    AbsVal,
     ConstPropDomain,
     IntervalDomain,
+    Lattice,
     ParityDomain,
     SignDomain,
     UnitDomain,
 )
+from repro.domains.constprop import BOT, TOP
+from repro.incr.codec import elem_decode, elem_token
+from repro.lang.ast import Var
 
 DOMAINS = [
     ConstPropDomain(),
@@ -158,3 +180,73 @@ class TestLatticeLaws:
     def test_elements_hashable(self, domain, a):
         x = element(domain, a)
         assert hash(x) == hash(element(domain, a))
+
+
+#: Closure and continuation tokens of every analyzer, mixed freely.
+CLOSURES = (
+    A_INC,
+    A_DEC,
+    A_INCK,
+    A_DECK,
+    AbsClo("x", Var("x")),
+    AbsCpsClo("y", "k", CVar("y")),
+)
+KONTS = (A_STOP, AbsCo("r", CVar("r")), AbsCo("s", CVar("s")))
+
+#: An abstract value: number seeds, then bitmasks over the closure and
+#: continuation tokens.
+absval_strategy = st.tuples(
+    elements_strategy,
+    st.integers(0, (1 << len(CLOSURES)) - 1),
+    st.integers(0, (1 << len(KONTS)) - 1),
+)
+
+
+def absval(domain, seeds) -> AbsVal:
+    picks, clos_mask, kont_mask = seeds
+    return AbsVal(
+        element(domain, picks),
+        frozenset(c for i, c in enumerate(CLOSURES) if clos_mask >> i & 1),
+        frozenset(k for i, k in enumerate(KONTS) if kont_mask >> i & 1),
+    )
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=IDS)
+class TestJoinKeepsIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(a=absval_strategy, b=absval_strategy, same=st.booleans())
+    def test_join_returns_an_operand_unless_it_grows(
+        self, domain, a, b, same
+    ):
+        lattice = Lattice(domain)
+        x = absval(domain, a)
+        y = x if same else absval(domain, b)
+        joined = lattice.join(x, y)
+        assert (joined is x) == lattice.leq(y, x)
+        if lattice.leq(x, y) and not lattice.leq(y, x):
+            assert joined is y
+        assert joined == AbsVal(
+            domain.join(x.num, y.num), x.clos | y.clos, x.konts | y.konts
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=absval_strategy)
+    def test_bottom_joins_to_the_other_operand(self, domain, a):
+        lattice = Lattice(domain)
+        x = absval(domain, a)
+        assert lattice.join(lattice.bottom, x) is (
+            lattice.bottom if lattice.is_bottom(x) else x
+        )
+        assert lattice.join(x, lattice.bottom) is x
+
+
+@settings(max_examples=80, deadline=None)
+@given(picks=elements_strategy)
+def test_constprop_is_bottom_survives_the_codec(picks):
+    """`ConstPropDomain.is_bottom` is an identity test, so elements the
+    incr codec decodes must be the module's own singletons."""
+    domain = ConstPropDomain()
+    for value in (element(domain, picks), BOT, TOP):
+        decoded = elem_decode(json.loads(json.dumps(elem_token(value))))
+        assert decoded == value
+        assert domain.is_bottom(decoded) == (decoded == BOT)

@@ -5,7 +5,9 @@ object and derives each new store's hash from its parent's.  These
 tests drive seeded random sequences of `joined_bind` and `join` over
 three number domains and check, after every step, that the derived
 store agrees with a from-scratch one and with the name-keyed
-`AbsStore` the same binds build.
+`AbsStore` the same binds build.  `join` visits only the slots whose
+values are different objects; every join is also checked against a
+reference that walks all the slots.
 """
 
 import random
@@ -64,6 +66,48 @@ def _slot_store(lattice: Lattice, table: dict[int, AbsVal]) -> SlotStore:
     return SlotStore(lattice, tuple(vals), len(table))
 
 
+def _dense_join(store: SlotStore, other: SlotStore) -> SlotStore:
+    """Reference join that walks every slot of both stores and writes
+    every slot whose values differ."""
+    if store is other or other.size == 0:
+        return store
+    if store.size == 0:
+        return other
+    lattice = store.lattice
+    bottom = lattice.bottom
+    vals = list(store.vals)
+    size = store.size
+    h = hash(store)
+    for slot, (a, b) in enumerate(zip(store.vals, other.vals)):
+        if a is b or b is bottom:
+            continue
+        if a is bottom:
+            vals[slot] = b
+            size += 1
+            h += hash((slot, b))
+        else:
+            joined = vals[slot] = lattice.join(a, b)
+            h += hash((slot, joined)) - hash((slot, a))
+    return SlotStore(lattice, tuple(vals), size, h % (1 << 61))
+
+
+def _check_join(store: SlotStore, other: SlotStore) -> SlotStore:
+    """``store.join(other)``, checked against `_dense_join`."""
+    lattice = store.lattice
+    result = store.join(other)
+    expected = _dense_join(store, other)
+    assert result.vals == expected.vals
+    assert result.size == expected.size
+    assert hash(result) == hash(expected)
+    for value, want in zip(result.vals, expected.vals):
+        if lattice.is_bottom(want):
+            assert value is lattice.bottom
+    if result.vals == store.vals:
+        # Nothing grew: the join hands back the left operand itself.
+        assert result is store
+    return result
+
+
 def _check(store: SlotStore, mirror: AbsStore) -> None:
     lattice = store.lattice
     for value in store.vals:
@@ -109,7 +153,7 @@ def test_random_bind_join_sequences(domain_name, seed):
             mirror = mirror.joined_bind(NAMES[slot], value)
         else:
             other = rng.randrange(len(stores))
-            result = store.join(stores[other])
+            result = _check_join(store, stores[other])
             mirror = mirror.join(mirrors[other])
         _check(result, mirror)
         stores.append(result)
@@ -118,6 +162,29 @@ def test_random_bind_join_sequences(domain_name, seed):
         for b in stores:
             if a == b:
                 assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("domain_name", sorted(DOMAINS))
+@pytest.mark.parametrize("seed", range(10))
+def test_join_of_sibling_stores_matches_dense_reference(domain_name, seed):
+    """Stores derived from one parent share most slot objects, as the
+    branches of a conditional do; joining them must visit only the
+    slots that differ and still agree with the dense walk."""
+    rng = random.Random(f"slot-store-join/{domain_name}/{seed}")
+    lattice = Lattice(DOMAINS[domain_name]())
+    pool = _values(lattice)
+    parent = _slot_store(lattice, {})
+    for _ in range(rng.randint(0, SLOTS)):
+        parent = parent.joined_bind(rng.randrange(SLOTS), rng.choice(pool))
+    siblings = [parent]
+    for _ in range(6):
+        child = parent
+        for _ in range(rng.randint(0, 3)):
+            child = child.joined_bind(rng.randrange(SLOTS), rng.choice(pool))
+        siblings.append(child)
+    for a in siblings:
+        for b in siblings:
+            _check_join(a, b)
 
 
 def test_bind_bottom_to_unbound_slot_returns_fresh_equal_store():
