@@ -43,8 +43,7 @@ from repro.analysis.common import (
     EngineUnsupported,
     NonComputableError,
     closures_of_term,
-    cps_closures_of_term,
-    konts_of_term,
+    cps_tops_of_term,
 )
 from repro.analysis.compare import (
     Precision,
@@ -102,8 +101,7 @@ __all__ = [
     "EngineUnsupported",
     "NonComputableError",
     "closures_of_term",
-    "cps_closures_of_term",
-    "konts_of_term",
+    "cps_tops_of_term",
     "Precision",
     "compare_answers",
     "compare_direct_to_cps",

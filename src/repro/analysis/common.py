@@ -240,32 +240,22 @@ def closures_of_term(term: Term) -> frozenset:
     return frozenset(found)
 
 
-def cps_closures_of_term(term: CTerm) -> frozenset:
-    """All abstract closures of a cps(A) program."""
-    found: set[Hashable] = set()
+def cps_tops_of_term(term: CTerm) -> tuple[frozenset, frozenset]:
+    """CL⊤ and K⊤ of a cps(A) program, in one walk: all its abstract
+    closures (one per lambda, plus ``inck``/``deck`` when the primitive
+    occurs) and all its abstract continuations (one ``(coe x, P)`` per
+    continuation lambda, plus ``stop``)."""
+    closures: set[Hashable] = set()
+    konts: set[Hashable] = {A_STOP}
     for sub in cps_subterms(term):
-        if isinstance(sub, CLam):
-            found.add(AbsCpsClo(sub.param, sub.kparam, sub.body))
-        elif isinstance(sub, CPrim):
-            found.add(A_INCK if sub.name == "add1k" else A_DECK)
-    return frozenset(found)
-
-
-def konts_of_term(term: CTerm) -> frozenset:
-    """All abstract continuations of a cps(A) program: one
-    ``(coe x, P)`` per continuation lambda, plus ``stop``."""
-    found: set[Hashable] = {A_STOP}
-    for sub in cps_subterms(term):
-        match sub:
-            case CApp(_, _, kont):
-                found.add(AbsCo(kont.param, kont.body))
-            case CIf0(_, kont, _, _, _):
-                found.add(AbsCo(kont.param, kont.body))
-            case CLoop(kont):
-                found.add(AbsCo(kont.param, kont.body))
-            case _:
-                pass
-    return frozenset(found)
+        kind = type(sub)
+        if kind is CLam:
+            closures.add(AbsCpsClo(sub.param, sub.kparam, sub.body))
+        elif kind is CPrim:
+            closures.add(A_INCK if sub.name == "add1k" else A_DECK)
+        elif kind is CApp or kind is CIf0 or kind is CLoop:
+            konts.add(AbsCo(sub.kont.param, sub.kont.body))
+    return frozenset(closures), frozenset(konts)
 
 
 def closures_of_store(store: AbsStore) -> frozenset:

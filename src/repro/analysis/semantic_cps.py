@@ -24,6 +24,7 @@ finite prefix (demonstrative, unsound in general).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping
 
 from repro.analysis.common import (
@@ -109,10 +110,17 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
         self.init_obs(trace, metrics)
         self.init_perf(cache)
         self.initial_store = AbsStore(self.lattice, initial)
-        cl_top = closures_of_term(term) | closures_of_store(self.initial_store)
-        self.top_value = AbsVal(self.lattice.domain.top, cl_top)
         self._active: dict[tuple[int, AbsStore], int] = {}
         self._depth = 0
+
+    @cached_property
+    def top_value(self) -> AbsVal:
+        """The least precise value ``(⊤, CL⊤)`` (Section 4.4), built on
+        first use: only a loop cut (and the incr codec) reads it."""
+        cl_top = closures_of_term(self.term) | closures_of_store(
+            self.initial_store
+        )
+        return AbsVal(self.lattice.domain.top, cl_top)
 
     def run(self, kont: AKont = ()) -> AnalysisResult:
         """Analyze the program under continuation ``kont`` (default nil)."""

@@ -19,6 +19,7 @@ Theorem 5.5 bounds it from above by the semantic-CPS analysis.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping
 
 from repro.analysis.common import (
@@ -34,9 +35,8 @@ from repro.analysis.common import (
     canonical_order,
     check_loop_mode,
     closures_of_store,
-    cps_closures_of_term,
+    cps_tops_of_term,
     konts_of_store,
-    konts_of_term,
     recursion_headroom,
 )
 from repro.analysis.registry import analyzer_class
@@ -118,14 +118,19 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
         if top_kvar not in table:
             table[top_kvar] = self.lattice.of_konts(A_STOP)
         self.initial_store = AbsStore(self.lattice, table)
-        cl_top = cps_closures_of_term(term) | closures_of_store(
-            self.initial_store
-        )
-        k_top = konts_of_term(term) | konts_of_store(self.initial_store)
-        #: The least precise value ``(⊤, CL⊤, K⊤)`` (Section 4.4).
-        self.top_value = AbsVal(self.lattice.domain.top, cl_top, k_top)
         self._active: dict[tuple[int, AbsStore], int] = {}
         self._depth = 0
+
+    @cached_property
+    def top_value(self) -> AbsVal:
+        """The least precise value ``(⊤, CL⊤, K⊤)`` (Section 4.4), built
+        on first use: only a loop cut (and the incr codec) reads it."""
+        closures, konts = cps_tops_of_term(self.term)
+        return AbsVal(
+            self.lattice.domain.top,
+            closures | closures_of_store(self.initial_store),
+            konts | konts_of_store(self.initial_store),
+        )
 
     def run(self) -> AnalysisResult:
         """Analyze the program and return the result."""

@@ -34,6 +34,7 @@ from repro.lang.ast import (
     is_value,
 )
 from repro.lang.rename import NameSupply, fresh_name_supply, uniquify
+from repro.lang.syntax import free_variables
 
 #: A meta-continuation: receives an atomic value, returns the rest of
 #: the normalized term.
@@ -51,8 +52,14 @@ def normalize(term: Term, ensure_unique: bool = True) -> Term:
     the direct interpreter).
     """
     if ensure_unique:
-        term = uniquify(term)
-    supply = fresh_name_supply(term)
+        # One supply for both passes.  After renaming it holds the free
+        # variables and every binder it made, which are exactly the
+        # names of the renamed term; its counters only skip names it
+        # holds, so `_norm` gets the names a fresh supply would give.
+        supply = NameSupply(free_variables(term))
+        term = uniquify(term, supply)
+    else:
+        supply = fresh_name_supply(term)
     return _norm(term, lambda value: value, supply)
 
 

@@ -36,6 +36,12 @@ class _Extreme:
     def __repr__(self) -> str:
         return self.label
 
+    def __reduce__(self) -> str:
+        # The module global's name: `pickle` and `copy.deepcopy` give
+        # back the singleton, which `join`, `binop` and `is_bottom`
+        # test by identity.
+        return "BOT" if self.label == "⊥" else "TOP"
+
 
 #: The least element of the constant lattice.
 BOT = _Extreme("⊥")

@@ -10,14 +10,23 @@ Concrete syntax (comments start with ``;`` and run to end of line)::
         | (+ M M) | (- M M) | (* M M)
         | (loop)
 
-The parser is split into a tokenizer, a reader producing nested lists
-of atoms (an *s-expression datum*), and a translation of datums into
-:mod:`repro.lang.ast` terms.  Positions are tracked through all three
-stages so parse errors point at the offending token.
+:func:`parse` reads the source once: one compiled regex splits it into
+tokens, which nest into *plain* datums (a ``str`` per atom, a ``list``
+per parenthesized form), and :func:`_build` turns those into
+:mod:`repro.lang.ast` terms.  Nothing on that path records a source
+position.  Only malformed input is read a second time, by the
+positioned reader (:func:`tokenize` and :func:`read`, which produce
+`Atom` and `SList` datums carrying line and column), so that every
+`ParseError` points at the offending token.  The form rules (arities,
+reserved words, numerals) exist once, in :func:`_build`: a positioned
+datum is checked by stripping it to its plain twin and mapping a broken
+rule back to the position it came from.  ``repro.lint`` and the cps(A)
+parser read with the positioned reader as well.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -152,105 +161,181 @@ def _is_number(text: str) -> bool:
     return body.isdigit() and bool(body)
 
 
-def _parse_name(datum: Datum, role: str) -> str:
-    if not isinstance(datum, Atom):
-        raise ParseError(f"expected a {role} name", datum.line, datum.column)
-    if _is_number(datum.text):
-        raise ParseError(
-            f"expected a {role} name, got number {datum.text}",
-            datum.line,
-            datum.column,
-        )
-    if datum.text in RESERVED_WORDS:
-        raise ParseError(
-            f"reserved word {datum.text!r} cannot be a {role} name",
-            datum.line,
-            datum.column,
-        )
-    return datum.text
+# ----------------------------------------------------------------------
+# Position-free datums and the form rules
+# ----------------------------------------------------------------------
+
+#: One match per token: a parenthesis, an atom, or a comment (dropped).
+#: Whitespace is exactly `tokenize`'s: space, tab, CR and LF.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+
+#: A position-free datum: an atom's text, or a list of datums.
+_Plain = Union[str, list]
 
 
-def _expect_items(datum: SList, count: int, form: str) -> tuple[Datum, ...]:
-    if len(datum.items) != count:
-        raise ParseError(
-            f"{form} takes {count - 1} operands, got {len(datum.items) - 1}",
-            datum.line,
-            datum.column,
+class _Malformed(Exception):
+    """A plain datum that is not one term.
+
+    ``message`` is None when the source does not read as one datum (the
+    positioned `read` says why).  Otherwise a form rule is broken, at
+    ``holder[index]``; at ``holder`` itself when ``index`` is None; at
+    the root datum when ``holder`` is None too.
+    """
+
+    def __init__(
+        self,
+        message: str | None = None,
+        holder: list | None = None,
+        index: int | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.message = message
+        self.holder = holder
+        self.index = index
+
+
+def _read_plain(source: str) -> _Plain:
+    """Read exactly one plain datum from ``source`` (raises `_Malformed`
+    wherever `read` raises `ParseError`)."""
+    stack: list[list] = []
+    items: list = []
+    for token in _TOKEN.findall(source):
+        if token == "(":
+            stack.append(items)
+            items = []
+        elif token == ")":
+            if not stack:
+                raise _Malformed()
+            done = items
+            items = stack.pop()
+            items.append(done)
+        elif token[0] != ";":
+            items.append(token)
+    if stack or len(items) != 1:
+        raise _Malformed()
+    return items[0]
+
+
+def _build(
+    datum: _Plain, holder: list | None = None, index: int | None = None
+) -> Term:
+    """The term of the plain ``datum``, which is ``holder[index]`` (the
+    root when ``holder`` is None).  Every form rule of A (arities,
+    reserved words, numerals) is checked here and nowhere else."""
+    if type(datum) is str:
+        if _is_number(datum):
+            return Num(int(datum))
+        if datum in FIRST_CLASS_PRIMS:
+            return Prim(datum)
+        if datum in RESERVED_WORDS:
+            raise _Malformed(
+                f"reserved word {datum!r} is not a term", holder, index
+            )
+        return Var(datum)
+    if not datum:
+        raise _Malformed("empty application ()", datum)
+    head = datum[0]
+    if type(head) is str:
+        if head == "let":
+            _expect_items(datum, 3, "let")
+            binding = datum[1]
+            if type(binding) is not list or len(binding) != 2:
+                raise _Malformed(
+                    "let takes a binding pair, e.g. (let (x M) M)", datum
+                )
+            return Let(
+                _binder_name(binding, "let-bound"),
+                _build(binding[1], binding, 1),
+                _build(datum[2], datum, 2),
+            )
+        if head == "lambda":
+            _expect_items(datum, 3, "lambda")
+            params = datum[1]
+            if type(params) is not list or len(params) != 1:
+                raise _Malformed(
+                    "lambda takes a single-parameter list, "
+                    "e.g. (lambda (x) M)",
+                    datum,
+                )
+            return Lam(
+                _binder_name(params, "parameter"), _build(datum[2], datum, 2)
+            )
+        if head == "if0":
+            _expect_items(datum, 4, "if0")
+            return If0(
+                _build(datum[1], datum, 1),
+                _build(datum[2], datum, 2),
+                _build(datum[3], datum, 3),
+            )
+        if head == "loop":
+            _expect_items(datum, 1, "loop")
+            return Loop()
+        arity = SECOND_CLASS_OPS.get(head)
+        if arity is not None:
+            _expect_items(datum, arity + 1, head)
+            return PrimApp(
+                head,
+                tuple(_build(datum[i], datum, i) for i in range(1, arity + 1)),
+            )
+    if len(datum) != 2:
+        raise _Malformed(
+            f"application takes 1 operand, got {len(datum) - 1}", datum
         )
-    return datum.items
+    return App(_build(head, datum, 0), _build(datum[1], datum, 1))
+
+
+def _binder_name(holder: list, role: str) -> str:
+    """The name bound by ``holder[0]``."""
+    datum = holder[0]
+    if type(datum) is not str:
+        raise _Malformed(f"expected a {role} name", holder, 0)
+    if _is_number(datum):
+        raise _Malformed(
+            f"expected a {role} name, got number {datum}", holder, 0
+        )
+    if datum in RESERVED_WORDS:
+        raise _Malformed(
+            f"reserved word {datum!r} cannot be a {role} name", holder, 0
+        )
+    return datum
+
+
+def _expect_items(datum: list, count: int, form: str) -> None:
+    if len(datum) != count:
+        raise _Malformed(
+            f"{form} takes {count - 1} operands, got {len(datum) - 1}", datum
+        )
+
+
+# ----------------------------------------------------------------------
+# Positioned datums
+# ----------------------------------------------------------------------
 
 
 def _parse_datum(datum: Datum) -> Term:
+    """The term of a positioned datum; a broken form rule raises
+    `ParseError` at the position of the offending datum."""
+    places: dict[int, SList] = {}
+    plain = _strip(datum, places)
+    try:
+        return _build(plain)
+    except _Malformed as bad:
+        where: Datum = datum
+        if bad.holder is not None:
+            where = places[id(bad.holder)]
+            if bad.index is not None:
+                where = where.items[bad.index]
+        raise ParseError(bad.message, where.line, where.column) from None
+
+
+def _strip(datum: Datum, places: dict[int, SList]) -> _Plain:
+    """The plain twin of ``datum``; ``places`` maps each of its lists
+    (by ``id``) back to the `SList` it came from."""
     if isinstance(datum, Atom):
-        return _parse_atom(datum)
-    if not datum.items:
-        raise ParseError("empty application ()", datum.line, datum.column)
-    head = datum.items[0]
-    if isinstance(head, Atom):
-        keyword = head.text
-        if keyword == "lambda":
-            return _parse_lambda(datum)
-        if keyword == "let":
-            return _parse_let(datum)
-        if keyword == "if0":
-            items = _expect_items(datum, 4, "if0")
-            return If0(
-                _parse_datum(items[1]),
-                _parse_datum(items[2]),
-                _parse_datum(items[3]),
-            )
-        if keyword == "loop":
-            _expect_items(datum, 1, "loop")
-            return Loop()
-        if keyword in SECOND_CLASS_OPS:
-            arity = SECOND_CLASS_OPS[keyword]
-            items = _expect_items(datum, arity + 1, keyword)
-            return PrimApp(keyword, tuple(_parse_datum(d) for d in items[1:]))
-    if len(datum.items) != 2:
-        raise ParseError(
-            f"application takes 1 operand, got {len(datum.items) - 1}",
-            datum.line,
-            datum.column,
-        )
-    return App(_parse_datum(datum.items[0]), _parse_datum(datum.items[1]))
-
-
-def _parse_atom(atom: Atom) -> Term:
-    if _is_number(atom.text):
-        return Num(int(atom.text))
-    if atom.text in FIRST_CLASS_PRIMS:
-        return Prim(atom.text)
-    if atom.text in RESERVED_WORDS:
-        raise ParseError(
-            f"reserved word {atom.text!r} is not a term", atom.line, atom.column
-        )
-    return Var(atom.text)
-
-
-def _parse_lambda(datum: SList) -> Lam:
-    items = _expect_items(datum, 3, "lambda")
-    params = items[1]
-    if not isinstance(params, SList) or len(params.items) != 1:
-        raise ParseError(
-            "lambda takes a single-parameter list, e.g. (lambda (x) M)",
-            datum.line,
-            datum.column,
-        )
-    name = _parse_name(params.items[0], "parameter")
-    return Lam(name, _parse_datum(items[2]))
-
-
-def _parse_let(datum: SList) -> Let:
-    items = _expect_items(datum, 3, "let")
-    binding = items[1]
-    if not isinstance(binding, SList) or len(binding.items) != 2:
-        raise ParseError(
-            "let takes a binding pair, e.g. (let (x M) M)",
-            datum.line,
-            datum.column,
-        )
-    name = _parse_name(binding.items[0], "let-bound")
-    return Let(name, _parse_datum(binding.items[1]), _parse_datum(items[2]))
+        return datum.text
+    items = [_strip(item, places) for item in datum.items]
+    places[id(items)] = datum
+    return items
 
 
 def parse(source: str) -> Term:
@@ -259,6 +344,11 @@ def parse(source: str) -> Term:
     >>> parse("(let (x 1) (add1 x))")
     Let(name='x', rhs=Num(value=1), body=App(fun=Prim(name='add1'), arg=Var(name='x')))
     """
+    try:
+        return _build(_read_plain(source))
+    except _Malformed:
+        pass
+    # Malformed: the positioned reader finds the error's message and place.
     return _parse_datum(read(source))
 
 

@@ -50,31 +50,53 @@ def term_size(term: Term) -> int:
     return sum(1 for _ in subterms(term))
 
 
+#: Stack markers of the scope-tracking walks: the name under the
+#: marker enters or leaves the scope of its binder.
+_ENTER = object()
+_LEAVE = object()
+
+
 def free_variables(term: Term) -> frozenset[str]:
     """Return the set of free variable names of ``term``."""
-    match term:
-        case Num() | Prim() | Loop():
-            return frozenset()
-        case Var(name):
-            return frozenset((name,))
-        case Lam(param, body):
-            return free_variables(body) - {param}
-        case App(fun, arg):
-            return free_variables(fun) | free_variables(arg)
-        case Let(name, rhs, body):
-            return free_variables(rhs) | (free_variables(body) - {name})
-        case If0(test, then, orelse):
-            return (
-                free_variables(test)
-                | free_variables(then)
-                | free_variables(orelse)
-            )
-        case PrimApp(_, args):
-            names: frozenset[str] = frozenset()
-            for arg in args:
-                names |= free_variables(arg)
-            return names
-    raise TypeError(f"not an A term: {term!r}")
+    free: set[str] = set()
+    scope: dict[str, int] = {}  # name -> binders of it around the node
+    stack: list = [term]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            if node.name not in scope:
+                free.add(node.name)
+        elif kind is Let:
+            # The right-hand side is outside the binder's scope.
+            stack += (node.name, _LEAVE, node.body, node.name, _ENTER, node.rhs)
+        elif kind is Lam:
+            stack += (node.param, _LEAVE, node.body, node.param, _ENTER)
+        elif node is _ENTER:
+            name = stack.pop()
+            scope[name] = scope.get(name, 0) + 1
+        elif node is _LEAVE:
+            name = stack.pop()
+            if scope[name] == 1:
+                del scope[name]
+            else:
+                scope[name] -= 1
+        else:
+            _push_children(stack, node, kind)
+    return frozenset(free)
+
+
+def _push_children(stack: list, node: object, kind: type) -> None:
+    """Push the subterms of a node that binds nothing, last one first
+    (so they pop in source order); `TypeError` on a non-term."""
+    if kind is App:
+        stack += (node.arg, node.fun)
+    elif kind is If0:
+        stack += (node.orelse, node.then, node.test)
+    elif kind is PrimApp:
+        stack.extend(reversed(node.args))
+    elif kind is not Num and kind is not Prim and kind is not Loop:
+        raise TypeError(f"not an A term: {node!r}")
 
 
 def binders(term: Term) -> list[str]:
@@ -105,10 +127,41 @@ def has_unique_binders(term: Term) -> bool:
     program are unique"); the analyzers rely on it to use variables as
     abstract locations.
     """
-    names = binders(term)
-    if len(names) != len(set(names)):
-        return False
-    return not (set(names) & free_variables(term))
+    bound: set[str] = set()  # every binder met so far
+    free: set[str] = set()  # every name met free so far
+    in_scope: set[str] = set()  # the binders around the current node
+    shadows = False
+    not_a_term: TypeError | None = None
+    stack: list = [term]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            if node.name not in in_scope:
+                free.add(node.name)
+                shadows = shadows or node.name in bound
+        elif kind is Let:
+            stack += (node.name, _LEAVE, node.body, node.name, _ENTER, node.rhs)
+        elif kind is Lam:
+            stack += (node.param, _LEAVE, node.body, node.param, _ENTER)
+        elif node is _ENTER:
+            name = stack.pop()
+            if name in bound:
+                return False
+            bound.add(name)
+            in_scope.add(name)
+            shadows = shadows or name in free
+        elif node is _LEAVE:
+            in_scope.discard(stack.pop())
+        else:
+            try:
+                _push_children(stack, node, kind)
+            except TypeError as error:
+                # A duplicated binder anywhere still answers False.
+                not_a_term = not_a_term or error
+    if not_a_term is not None:
+        raise not_a_term
+    return not shadows
 
 
 def check_closed(term: Term, allowed: frozenset[str] = frozenset()) -> None:

@@ -48,8 +48,7 @@ from repro.analysis.common import (
     AbsCo,
     AbsCpsClo,
     closures_of_term,
-    cps_closures_of_term,
-    konts_of_term,
+    cps_tops_of_term,
     recursion_headroom,
 )
 from repro.cps.ast import (
@@ -600,8 +599,7 @@ class _CpsCompiler:
             tuple(self.consts),
             dict(self.cps_entries),
             dict(self.kont_entries),
-            cps_closures_of_term(term),
-            konts_of_term(term),
+            *cps_tops_of_term(term),
         )
 
     def extension(
