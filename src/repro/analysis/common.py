@@ -418,14 +418,6 @@ class WorkBudgetMixin:
     #: per-instance stack, and without one the footprint adds are
     #: skipped entirely.
     _fp_stack: "list[set]" = []
-    #: Optional `repro.incr` persistence session (see attach_recorder).
-    _recorder = None
-    #: Per-frame *transported-footprint* digests: non-empty only for
-    #: frames whose derivation consumed a summary decoded from the
-    #: persistent store (whose exact judgment keys are unknowable
-    #: across processes).  Class-level fallback, per-instance stack.
-    _mark_stack: "list[set]" = []
-    _last_marks: frozenset = frozenset()
 
     def init_obs(self, trace: Sink | None, metrics: Metrics | None) -> None:
         """Attach a trace sink and metrics registry (constructor
@@ -442,22 +434,6 @@ class WorkBudgetMixin:
         self._fp_stack: list[set] = []
         self._memo_seq = 0
         self._memo_taint = _NO_TAINT
-        self._recorder = None
-        self._mark_stack: list[set] = []
-        self._last_marks = frozenset()
-
-    def attach_recorder(self, recorder) -> None:
-        """Attach a `repro.incr` summary recorder (persistent eval
-        memo tier).  Requires the in-memory memo: the recorder reuses
-        its taint/footprint machinery wholesale — a summary is
-        persisted exactly when the memo stored it, and a decoded
-        summary is injected as a memo entry."""
-        if self._memo is None:
-            raise ValueError(
-                "the persistent recorder requires cache=True"
-                " (the in-memory eval memo)"
-            )
-        self._recorder = recorder
 
     # -- eval memo ------------------------------------------------------
 
@@ -488,8 +464,6 @@ class WorkBudgetMixin:
         """Open a memo frame: its start sequence number and footprint."""
         footprint: set = set()
         self._fp_stack.append(footprint)
-        if self._recorder is not None:
-            self._mark_stack.append(set())
         return self._memo_seq, footprint
 
     def memo_frame_end(self, footprint: set) -> None:
@@ -497,42 +471,25 @@ class WorkBudgetMixin:
         self._fp_stack.pop()
         if self._fp_stack:
             self._fp_stack[-1].update(footprint)
-        if self._recorder is not None:
-            marks = self._mark_stack.pop()
-            self._last_marks = frozenset(marks)
-            if self._mark_stack and marks:
-                self._mark_stack[-1].update(marks)
 
     def memo_probe(self, memo_key, active_key, subject):
         """A stored summary for this judgment, or None.
 
         Rejects summaries whose recorded sub-derivation overlaps the
         currently active path (a fresh evaluation would cut there).
-        Only called with the memo enabled.  With a recorder attached
-        an in-memory miss falls through to the persistent tier; a
-        decoded summary becomes an ordinary memo entry whose
-        footprint travels as node digests (``marks``).
+        Only called with the memo enabled.
         """
         entry = self._memo.get(memo_key)
         perf = self.perf
-        recorder = self._recorder
-        if entry is None and recorder is not None:
-            entry = recorder.lookup(memo_key, self._active)
-            if entry is not None:
-                self._memo[memo_key] = entry
         if entry is None:
             perf.eval_cache_misses += 1
             return None
-        answer, footprint, marks = entry
+        answer, footprint = entry
         active = self._active
         if len(footprint) < len(active):
             clash = any(key in active for key in footprint)
         else:
             clash = any(key in footprint for key in active)
-        if not clash and marks and recorder is not None:
-            clash = recorder.clashes(marks, active)
-            if clash:
-                recorder.store.stats.stale_rejections += 1
         if clash:
             perf.eval_cache_rejects += 1
             return None
@@ -540,8 +497,6 @@ class WorkBudgetMixin:
         frame_fp = self._fp_stack[-1]
         frame_fp.add(active_key)
         frame_fp.update(footprint)
-        if marks and self._mark_stack:
-            self._mark_stack[-1].update(marks)
         if self._emit is not None:
             self._emit(
                 CacheHit(
@@ -559,14 +514,7 @@ class WorkBudgetMixin:
         if self._memo_taint >= start_seq:
             self._memo_taint = _NO_TAINT
             if cacheable and len(footprint) <= _FOOTPRINT_LIMIT:
-                recorder = self._recorder
-                marks = (
-                    self._last_marks if recorder is not None else frozenset()
-                )
-                fp_keys = frozenset(footprint)
-                self._memo[memo_key] = (answer, fp_keys, marks)
-                if recorder is not None:
-                    recorder.record(memo_key, answer, fp_keys, marks)
+                self._memo[memo_key] = (answer, frozenset(footprint))
         return answer
 
     def tick(self, subject: object = None) -> None:

@@ -105,7 +105,7 @@ class DirectAnalyzer(WorkBudgetMixin):
     @cached_property
     def top_value(self) -> AbsVal:
         """The least precise value: ``(⊤, CL⊤)`` (Section 4.4).  Built
-        on first use: only a loop cut (and the incr codec) reads it."""
+        on first use: only a loop cut reads it."""
         cl_top = closures_of_term(self.term) | closures_of_store(
             self.initial_store
         )

@@ -1,13 +1,13 @@
 """The analyzer registry: the one vocabulary and the one dispatch.
 
 Every layer that names an analyzer — CLI argument choices, serve enum
-validation (and hence cache keys), the survey, the lint engine, the
-incremental driver, and the benchmarks — takes its names from here,
-and every layer that *runs* one goes through the ``(name, engine)``
-table below: `analyzer_class` for the class, `build_analyzer` /
-`run_analyzer` for an instance of the direct-style A program (the
-syntactic-CPS conversion and the δe transport of the initial store,
-Theorem 5.5, happen here for every front end).
+validation (and hence cache keys), the survey, the lint engine, and
+the benchmarks — takes its names from here, and every layer that
+*runs* one goes through the ``(name, engine)`` table below:
+`analyzer_class` for the class, `build_analyzer` / `run_analyzer` for
+an instance of the direct-style A program (the syntactic-CPS
+conversion and the δe transport of the initial store, Theorem 5.5,
+happen here for every front end).
 
 Canonical spellings are the serve layer's: ``direct``,
 ``semantic-cps``, ``syntactic-cps``, ``polyvariant``, and
@@ -122,17 +122,6 @@ def engine_analyzers(engine: str) -> tuple[str, ...]:
 #: `repro.analysis.common.EngineUnsupported` (the serve layer's
 #: ``engine_unsupported`` error), never a crash.
 PLAN_ANALYZERS: tuple[str, ...] = engine_analyzers("plan")
-
-#: Analyzers whose tree-engine eval memo is keyed by sub-term, so
-#: `repro.incr` can persist it.  The pushdown memo is the per-call
-#: summary table (closure × argument × entry store), so pushdown runs
-#: without persistence.
-PERSISTENT_ANALYZERS: tuple[str, ...] = (
-    "direct",
-    "semantic-cps",
-    "syntactic-cps",
-    "polyvariant",
-)
 
 #: The three concrete interpreters (paper Figures 1-3), canonically
 #: spelled like their abstract counterparts.

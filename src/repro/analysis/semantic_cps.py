@@ -116,7 +116,7 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
     @cached_property
     def top_value(self) -> AbsVal:
         """The least precise value ``(⊤, CL⊤)`` (Section 4.4), built on
-        first use: only a loop cut (and the incr codec) reads it."""
+        first use: only a loop cut reads it."""
         cl_top = closures_of_term(self.term) | closures_of_store(
             self.initial_store
         )

@@ -124,7 +124,7 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
     @cached_property
     def top_value(self) -> AbsVal:
         """The least precise value ``(⊤, CL⊤, K⊤)`` (Section 4.4), built
-        on first use: only a loop cut (and the incr codec) reads it."""
+        on first use: only a loop cut reads it."""
         closures, konts = cps_tops_of_term(self.term)
         return AbsVal(
             self.lattice.domain.top,

@@ -880,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--incr-store",
         metavar="FILE",
-        help="persistent repro.incr summary/response store (sqlite); "
+        help="persistent repro.incr response store (sqlite); "
         "shared safely between shard processes and server restarts",
     )
     serve_parser.add_argument(
@@ -1045,9 +1045,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cachectl_parser.add_argument(
         "action",
-        choices=("stats", "gc", "warm", "path"),
+        choices=("stats", "gc", "path"),
         help="stats: counters and bytes; gc: LRU-evict to --max-bytes; "
-        "warm: pre-analyze corpus programs into the store; "
         "path: print the resolved store path",
     )
     cachectl_parser.add_argument(
@@ -1061,28 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="gc: payload-byte budget to evict down to (0 clears all)",
-    )
-    cachectl_parser.add_argument(
-        "--corpus",
-        action="append",
-        metavar="NAME",
-        help="warm: corpus program(s) to analyze (repeatable; "
-        "default: every non-heavy program)",
-    )
-    cachectl_parser.add_argument(
-        "--analyzer",
-        action="append",
-        choices=analyzer_choices(ANALYZERS),
-        metavar="NAME",
-        help="warm: analyzer(s) to run (repeatable; default: direct "
-        "and semantic-cps; pushdown runs but persists nothing — its "
-        "memo is call-keyed, not sub-term-keyed)",
-    )
-    cachectl_parser.add_argument(
-        "--domain",
-        default="constprop",
-        choices=tuple(DOMAINS),
-        help="warm: abstract domain (default constprop)",
     )
     cachectl_parser.add_argument(
         "--json", action="store_true", help="machine-readable output"
@@ -1250,10 +1227,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_cachectl(args: argparse.Namespace) -> int:
     import json as json_mod
-    import os
 
-    from repro.incr.driver import default_store_path, run_analysis
-    from repro.incr.store import IncrStore, describe, render_stats
+    from repro.incr.store import (
+        IncrStore,
+        default_store_path,
+        describe,
+        render_stats,
+    )
 
     path = args.store or default_store_path()
     if args.action == "path":
@@ -1266,73 +1246,17 @@ def _cmd_cachectl(args: argparse.Namespace) -> int:
         else:
             print(render_stats(summary))
         return 0
-    if args.action == "gc":
-        if args.max_bytes is None:
-            raise SystemExit("cachectl gc requires --max-bytes")
-        with IncrStore(path) as store:
-            report = store.gc(args.max_bytes)
-        if args.json:
-            print(json_mod.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(
-                f"evicted {report['evicted']} entries; "
-                f"{report['bytes']} payload bytes remain "
-                f"(generation {report['generation']})"
-            )
-        return 0
-    # warm: analyze corpus programs straight into the store
-    from repro.corpus.programs import PROGRAMS
-
-    domain_cls = DOMAINS[args.domain]
-    names = args.corpus or sorted(
-        name for name, prog in PROGRAMS.items() if not prog.heavy
-    )
-    analyzers = args.analyzer or ["direct", "semantic-cps"]
-    unknown = [name for name in names if name not in PROGRAMS]
-    if unknown:
-        raise SystemExit(f"unknown corpus program(s): {unknown}")
-    warmed = []
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    if args.max_bytes is None:
+        raise SystemExit("cachectl gc requires --max-bytes")
     with IncrStore(path) as store:
-        for name in names:
-            program = PROGRAMS[name]
-            for analyzer in analyzers:
-                domain = domain_cls()
-                initial = program.initial_for(Lattice(domain))
-                before = store.stats.puts
-                run_analysis(
-                    analyzer,
-                    program.term,
-                    domain=domain,
-                    initial=initial,
-                    store=store,
-                    loop_mode="top",
-                )
-                warmed.append(
-                    {
-                        "corpus": name,
-                        "analyzer": analyzer,
-                        "written": store.stats.puts - before,
-                    }
-                )
-        summary = store.summary()
+        report = store.gc(args.max_bytes)
     if args.json:
-        print(
-            json_mod.dumps(
-                {"warmed": warmed, "store": summary},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json_mod.dumps(report, indent=2, sort_keys=True))
     else:
-        for row in warmed:
-            print(
-                f"  {row['corpus']:26} {row['analyzer']:14} "
-                f"+{row['written']} summaries"
-            )
         print(
-            f"store {summary['path']}: {summary['entries']} entries, "
-            f"{summary['bytes']} bytes"
+            f"evicted {report['evicted']} entries; "
+            f"{report['bytes']} payload bytes remain "
+            f"(generation {report['generation']})"
         )
     return 0
 

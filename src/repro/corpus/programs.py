@@ -276,7 +276,7 @@ def conditional_chain(k: int) -> CorpusProgram:
     )
 
 
-def top_conditional_chain(k: int, p_addend: int = 1) -> CorpusProgram:
+def top_conditional_chain(k: int) -> CorpusProgram:
     """A chain of ``k`` unknown conditionals whose branches *agree*.
 
     Both arms of every conditional return a value computed once from
@@ -286,14 +286,10 @@ def top_conditional_chain(k: int, p_addend: int = 1) -> CorpusProgram:
     — the duplication is syntactic — but the `repro.perf` eval cache
     collapses the redundant re-analyses to O(k): the memoization
     showcase workload.
-
-    ``p_addend`` varies the constant in the ``p`` binding — an
-    abstract-value-neutral one-sub-term edit (``p`` is ⊤ either way),
-    which is exactly what the `repro.incr` incremental bench needs.
     """
     if k < 1:
         raise ValueError("chain length must be >= 1")
-    lines = [f"(let (p (+ y {p_addend}))", "(let (q (+ y 2))"]
+    lines = ["(let (p (+ y 1))", "(let (q (+ y 2))"]
     for i in range(1, k + 1):
         lines.append(f"(let (a{i} (if0 x{i} p q))")
     body = f"a{k}" + ")" * (k + 2)
@@ -341,11 +337,10 @@ def ackermann_open(addend: int = 1) -> CorpusProgram:
     The argument is ``u = (+ y addend)`` with ``y`` bound to ⊤, so
     ``u`` is ⊤ for every ``addend``: changing the constant edits the
     program without changing any abstract value at the call site.
-    That makes this the incremental-analysis showcase — the
-    `repro.incr` store replays the whole recursive derivation after
-    the edit, where the closed ``ackermann`` program (whose concrete
-    argument flows into every judgment's entry store) cannot reuse
-    anything.
+    Unlike the closed ``ackermann`` program, whose concrete argument
+    flows into every judgment's entry store, every judgment here sees
+    ⊤, so the engine differential covers the recursive derivation on
+    an open input.
     """
     source = f"""(let (ack (lambda (self)
                        (lambda (m)
@@ -395,8 +390,6 @@ def loop_threshold_open(threshold: int = 10, addend: int = 1) -> CorpusProgram:
     ⊤ (or cut, per analyzer loop mode), so ``u`` is the same abstract
     value for every ``addend`` — changing the constant is a
     one-sub-term edit that leaves every analyzer's answer intact.
-    That makes the family the seed for the `repro.incr` edit-pair
-    differential tests over the Section 6.2 computability workload.
     """
     source = f"""(let (i (loop))
                    (let (u (+ i {addend}))
@@ -406,7 +399,7 @@ def loop_threshold_open(threshold: int = 10, addend: int = 1) -> CorpusProgram:
         name=f"loop-threshold-open-{threshold}-{addend}",
         description=(
             f"loop feeding (+ i {addend}) into a threshold-{threshold} "
-            "conditional (incremental edit knob)"
+            "conditional (abstract-value-neutral edit knob)"
         ),
         term=_anf(source),
         initial=lambda lat: {},
@@ -442,11 +435,11 @@ FAMILIES: dict[str, tuple] = {
     "loop-threshold-open-T-D": (
         loop_threshold_open,
         "loop feeding (+ i D) into a threshold-T conditional "
-        "(incremental edit knob)",
+        "(abstract-value-neutral edit knob)",
     ),
     "ackermann-open-D": (
         ackermann_open,
-        "Ackermann A(2, y+D) on an unknown y (incremental showcase)",
+        "Ackermann A(2, y+D) on an unknown y",
     ),
 }
 

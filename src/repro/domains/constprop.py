@@ -71,7 +71,7 @@ class ConstPropDomain(NumDomain[ConstValue]):
 
     def is_bottom(self, a: ConstValue) -> bool:
         # `BOT` is a singleton (`join` already tests it by identity,
-        # and the incr codec decodes to it).
+        # and `pickle` round-trips to it).
         return a is BOT
 
     def join(self, a: ConstValue, b: ConstValue) -> ConstValue:

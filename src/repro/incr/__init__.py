@@ -1,62 +1,22 @@
-"""repro.incr — content-addressed persistence and incremental
-re-analysis.
+"""repro.incr — content-addressed persistence for the serve layer.
 
-The subsystem in one sentence: analyzer judgments are keyed by the
-Merkle digest of the sub-term they are about (plus the abstract store,
-continuation, and analyzer configuration they were computed under), so
-summaries survive process exit in a sqlite file and a later run — same
-program, an edited program, or another process entirely — stitches
-them back into its derivation instead of recomputing.
-
-Layers, bottom up:
-
-- `repro.incr.hash` — canonical Merkle structure digests over the ANF
-  and CPS syntax trees, the alpha-invariant `term_hash` ETag, and
-  `merkle_diff`;
+- `repro.incr.hash` — the alpha-invariant `term_hash`, the ETag that
+  ``/v1/analyze`` echoes and matches for its ``not_modified`` fast
+  path;
 - `repro.incr.store` — the sqlite-backed `IncrStore` (WAL,
-  multi-process safe, schema-versioned, size-bounded gc);
-- `repro.incr.codec` — position-independent encoding of judgment
-  keys, abstract values/stores, and answers;
-- `repro.incr.recorder` — the `SummaryRecorder` bridging an
-  analyzer's in-memory eval memo to the store, carrying the footprint
-  soundness guard across processes;
-- `repro.incr.driver` — `analyze_incremental` / `run_analysis`, the
-  entries the CLI, bench, and serve layers use.
+  multi-process safe, schema-versioned, size-bounded gc) that
+  ``repro serve --incr-store`` persists whole response bodies in, and
+  that ``repro cachectl`` inspects.
 
-See ``docs/PERSISTENCE.md`` for the design and soundness argument.
+See ``docs/PERSISTENCE.md`` for the design.
 """
 
-from repro.incr.driver import (
-    ANALYZERS,
-    IncrReport,
-    analyze_incremental,
-    default_store_path,
-    run_analysis,
-)
-from repro.incr.hash import (
-    TermHasher,
-    merkle_diff,
-    replace_at,
-    resolve_path,
-    structure_hex,
-    term_hash,
-)
-from repro.incr.recorder import SummaryRecorder
-from repro.incr.store import IncrStore, open_store
+from repro.incr.hash import term_hash
+from repro.incr.store import IncrStore, default_store_path, open_store
 
 __all__ = [
-    "ANALYZERS",
-    "IncrReport",
     "IncrStore",
-    "SummaryRecorder",
-    "TermHasher",
-    "analyze_incremental",
     "default_store_path",
-    "merkle_diff",
     "open_store",
-    "replace_at",
-    "resolve_path",
-    "run_analysis",
-    "structure_hex",
     "term_hash",
 ]

@@ -1,25 +1,15 @@
-"""Canonical Merkle hashing of ANF (and cps(A)) syntax trees.
+"""The alpha-invariant program hash: `term_hash`.
 
-Two layers, two jobs:
+`term_hash` is the ETag-style hash exposed by ``/v1/analyze``.
+Binders are canonicalized de-Bruijn-level style (each binder is
+renamed to ``#<n>`` where ``n`` counts the binders enclosing it; free
+variables keep their literal names), so alpha-equivalent programs
+hash equal.  Renaming by *level* rather than by de-Bruijn *index*
+keeps the canonicalization compositional: two binders at the same
+level can never shadow one another, and a reference resolves to the
+innermost enclosing definition exactly as the literal name would.
 
-- **Structure digests** (`TermHasher`): a content digest of the
-  *literal* sub-tree — names included — computed bottom-up and cached
-  per node *object*, so after an edit that splices a new sub-term into
-  a shared tree only the spine above the edit is re-hashed.  These are
-  the keys of the persistent summary store: the analyzers' judgments
-  are name-sensitive (stores map variable names), so the store must
-  be too.
-- **Alpha hashes** (`term_hash`): the public ETag-style hash exposed
-  by ``/v1/analyze``.  Binders are canonicalized de-Bruijn-level
-  style (each binder is renamed to ``#<n>`` where ``n`` counts the
-  binders enclosing it; free variables keep their literal names), so
-  alpha-equivalent programs hash equal.  Renaming by *level* rather
-  than by de-Bruijn *index* keeps the canonicalization compositional:
-  two binders at the same level can never shadow one another, and a
-  reference resolves to the innermost enclosing definition exactly as
-  the literal name would.
-
-Both layers work generically over the frozen-dataclass ASTs of
+The walk is generic over the frozen-dataclass ASTs of
 `repro.lang.ast` and `repro.cps.ast`: children are the fields holding
 (tuples of) AST nodes, scalars are everything else, and field order
 is definition order, which is stable.
@@ -29,15 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from dataclasses import fields, replace as _dc_replace
-from typing import Any, Iterator
+from dataclasses import fields
+from typing import Any
 
 from repro.cps import ast as cast
 from repro.lang import ast as last
-
-#: Bump when the hash layout changes: digests key the persistent
-#: store, so a layout change must miss cleanly rather than collide.
-HASH_SCHEMA = 1
 
 #: Fields that *bind* a name (alpha canonicalization renames them and
 #: the references they capture).  Everything else that is a ``str``
@@ -80,178 +66,9 @@ def _field_names(node: Any) -> tuple[str, ...]:
     return cached
 
 
-def node_children(node: Any) -> list[Any]:
-    """The AST-node children of ``node``, in field order (tuples of
-    nodes — `PrimApp.args` — are flattened in place)."""
-    out: list[Any] = []
-    for name in _field_names(node):
-        value = getattr(node, name)
-        if isinstance(value, _AST_TYPES):
-            out.append(value)
-        elif isinstance(value, tuple):
-            out.extend(v for v in value if isinstance(v, _AST_TYPES))
-    return out
-
-
-def node_scalars(node: Any) -> tuple:
-    """The non-node field values of ``node``, in field order."""
-    out = []
-    for name in _field_names(node):
-        value = getattr(node, name)
-        if isinstance(value, _AST_TYPES):
-            continue
-        if isinstance(value, tuple) and any(
-            isinstance(v, _AST_TYPES) for v in value
-        ):
-            continue
-        out.append(value)
-    return tuple(out)
-
-
-#: A position in a tree: the child index taken at each step.
-Path = tuple[int, ...]
-
-
-def child_at(node: Any, index: int) -> Any:
-    """The ``index``-th AST child of ``node``."""
-    return node_children(node)[index]
-
-
-def resolve_path(root: Any, path: Path) -> Any:
-    """The node at ``path`` under ``root``.
-
-    Raises ``IndexError`` when the path walks off the tree (the tree
-    changed shape since the path was recorded).
-    """
-    node = root
-    for index in path:
-        children = node_children(node)
-        node = children[index]
-    return node
-
-
-def replace_at(root: Any, path: Path, replacement: Any) -> Any:
-    """A copy of ``root`` with the node at ``path`` replaced.
-
-    Only the spine above the edit is rebuilt; every unchanged sibling
-    sub-tree is *shared* with ``root`` — which is exactly what makes
-    spine-only rehashing pay off: a `TermHasher` that has seen the old
-    tree only re-hashes the rebuilt spine nodes.
-    """
-    if not path:
-        return replacement
-    child = child_at(root, path[0])
-    return _replace_child(
-        root, path[0], replace_at(child, path[1:], replacement)
-    )
-
-
-def _replace_child(node: Any, index: int, new_child: Any) -> Any:
-    """A copy of ``node`` with its ``index``-th AST child swapped."""
-    i = 0
-    for name in _field_names(node):
-        value = getattr(node, name)
-        if isinstance(value, _AST_TYPES):
-            if i == index:
-                return _dc_replace(node, **{name: new_child})
-            i += 1
-        elif isinstance(value, tuple):
-            items = list(value)
-            for j, item in enumerate(items):
-                if isinstance(item, _AST_TYPES):
-                    if i == index:
-                        items[j] = new_child
-                        return _dc_replace(node, **{name: tuple(items)})
-                    i += 1
-    raise IndexError(index)
-
-
-def iter_nodes(root: Any) -> Iterator[tuple[Path, Any]]:
-    """All ``(path, node)`` pairs under ``root``, preorder."""
-    stack: list[tuple[Path, Any]] = [((), root)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        children = node_children(node)
-        for i in range(len(children) - 1, -1, -1):
-            stack.append((path + (i,), children[i]))
-
-
 def _h(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()[:20]
 
-
-class TermHasher:
-    """Merkle structure digests, cached per node object.
-
-    The cache is keyed by ``id(node)``; the hasher pins every node it
-    has hashed so ids cannot be recycled while the cache lives.  Use
-    one hasher per program (or per store session) — sharing a tree
-    between an old and an edited term means the unchanged sub-trees
-    hit the cache and only the edited spine is re-hashed.
-    """
-
-    def __init__(self) -> None:
-        self._cache: dict[int, bytes] = {}
-        self._pins: list[Any] = []
-
-    def digest(self, node: Any) -> bytes:
-        """The 20-byte structure digest of ``node``."""
-        cache = self._cache
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        # Iterative post-order: children before parents, no recursion
-        # limit on deep let-spines.
-        stack: list[tuple[Any, bool]] = [(node, False)]
-        while stack:
-            current, expanded = stack.pop()
-            if id(current) in cache:
-                continue
-            children = node_children(current)
-            if not expanded:
-                stack.append((current, True))
-                for child in children:
-                    if id(child) not in cache:
-                        stack.append((child, False))
-                continue
-            parts = [
-                str(HASH_SCHEMA).encode(),
-                type(current).__name__.encode(),
-                repr(node_scalars(current)).encode(),
-            ]
-            for child in children:
-                parts.append(cache[id(child)])
-            cache[id(current)] = _h(b"\x00".join(parts))
-            self._pins.append(current)
-        return cache[id(node)]
-
-    def hex(self, node: Any) -> str:
-        """Hex form of :meth:`digest`."""
-        return self.digest(node).hex()
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-
-#: Process-wide hasher used by the convenience functions; safe because
-#: digests are pure and the pin list keeps ids stable.
-_SHARED = TermHasher()
-
-
-def structure_digest(node: Any) -> bytes:
-    """The literal (name-sensitive) structure digest of ``node``."""
-    return _SHARED.digest(node)
-
-
-def structure_hex(node: Any) -> str:
-    """Hex form of :func:`structure_digest`."""
-    return _SHARED.digest(node).hex()
-
-
-# ----------------------------------------------------------------------
-# Alpha-invariant hashing (the public term_hash)
-# ----------------------------------------------------------------------
 
 _ALPHA_CACHE: dict[int, str] = {}
 _ALPHA_PINS: list[Any] = []
@@ -326,40 +143,3 @@ def term_hash(term: Any) -> str:
         _ALPHA_CACHE[id(term)] = got
         _ALPHA_PINS.append(term)
     return got
-
-
-# ----------------------------------------------------------------------
-# Merkle diffing
-# ----------------------------------------------------------------------
-
-
-def merkle_diff(
-    old: Any, new: Any, hasher: TermHasher | None = None
-) -> list[Path]:
-    """Paths (in ``new``) of the minimal dirty sub-trees.
-
-    Descends both trees in lockstep; where digests agree the sub-trees
-    are identical and the walk stops.  Where they disagree but the
-    shapes still match, the walk recurses, so a single sub-term edit
-    reports a single dirty path; a shape change reports the enclosing
-    node.
-    """
-    hasher = hasher if hasher is not None else _SHARED
-    dirty: list[Path] = []
-    stack: list[tuple[Path, Any, Any]] = [((), old, new)]
-    while stack:
-        path, a, b = stack.pop()
-        if hasher.digest(a) == hasher.digest(b):
-            continue
-        ca, cb = node_children(a), node_children(b)
-        if (
-            type(a) is type(b)
-            and len(ca) == len(cb)
-            and node_scalars(a) == node_scalars(b)
-        ):
-            for i in range(len(ca)):
-                stack.append((path + (i,), ca[i], cb[i]))
-        else:
-            dirty.append(path)
-    dirty.sort()
-    return dirty

@@ -1,13 +1,16 @@
-"""The persistent, content-addressed summary store.
+"""The persistent, content-addressed response store.
 
 A single sqlite file (stdlib only) in WAL mode, safe under the
 multi-process shard model: WAL gives many concurrent readers plus one
 writer, writers queue on ``busy_timeout``, and every write happens in
 one short transaction.  Rows are keyed by
-``(config × kind × subject digest × judgment digest)`` where the
-config digest folds in analyzer, domain, k, engine, cache flags, the
-codec schema, and the analyzer's top-value digest (see
-`repro.incr.codec`).
+``(config × kind × subject digest × judgment digest)``.  The serve
+layer's `repro.serve.cache.PersistentResponseTier` writes
+``kind="resp"`` rows: one serialized response body per canonical
+request digest, under a config that names the repro version.  Files
+written before sub-term summaries were removed may still hold
+``kind="sub"`` rows; they are kept, counted under their own kind by
+`IncrStore.summary`, and evicted by `IncrStore.gc` like any other row.
 
 The header is schema-versioned: opening a store written by a
 different layout drops and recreates it (content-addressed caches
@@ -28,9 +31,11 @@ from dataclasses import dataclass
 #: Bump to invalidate every existing store file.
 STORE_SCHEMA = 1
 
-#: Row kinds.
-KIND_SUB = "sub"  #: one memo-frame summary
-KIND_RESPONSE = "resp"  #: a serve-layer response body
+#: The row kind of a serve-layer response body.
+KIND_RESPONSE = "resp"
+
+#: Environment override for the default store location.
+STORE_ENV = "REPRO_INCR_STORE"
 
 _BUSY_TIMEOUT_MS = 5_000
 
@@ -41,7 +46,6 @@ class StoreStats:
 
     hits: int = 0
     misses: int = 0
-    stale_rejections: int = 0
     puts: int = 0
     errors: int = 0
 
@@ -49,14 +53,13 @@ class StoreStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "stale_rejections": self.stale_rejections,
             "puts": self.puts,
             "errors": self.errors,
         }
 
 
 class IncrStore:
-    """A handle on the persistent summary store.
+    """A handle on the persistent store.
 
     Handles are cheap and per-process (sqlite connections must not
     cross ``fork``); every shard opens its own against the same path.
@@ -146,38 +149,16 @@ class IncrStore:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        self._touch([(cfg, kind, subject, judgment)])
+        self._touch((cfg, kind, subject, judgment))
         return row[0]
 
-    def load(
-        self, cfg: str, kind: str, subjects: list[str]
-    ) -> dict[tuple[str, str], str]:
-        """Preload every row for ``cfg``/``kind`` whose subject digest
-        is in ``subjects`` — the incremental driver's working set.
-        Returns ``{(subject, judgment): payload}``."""
-        out: dict[tuple[str, str], str] = {}
-        chunk = 400
-        with self._lock:
-            for start in range(0, len(subjects), chunk):
-                batch = subjects[start : start + chunk]
-                marks = ",".join("?" * len(batch))
-                rows = self._db.execute(
-                    "SELECT subject, judgment, payload FROM summaries"
-                    f" WHERE cfg=? AND kind=? AND subject IN ({marks})",
-                    [cfg, kind, *batch],
-                ).fetchall()
-                for subject, judgment, payload in rows:
-                    out[(subject, judgment)] = payload
-        return out
-
-    def _touch(self, keys: list[tuple[str, str, str, str]]) -> None:
-        now = time.time()
+    def _touch(self, key: tuple[str, str, str, str]) -> None:
         try:
             with self._lock, self._db as db:
-                db.executemany(
+                db.execute(
                     "UPDATE summaries SET last_used=?"
                     " WHERE cfg=? AND kind=? AND subject=? AND judgment=?",
-                    [(now, *key) for key in keys],
+                    (time.time(), *key),
                 )
         except sqlite3.OperationalError:
             self.stats.errors += 1
@@ -187,31 +168,19 @@ class IncrStore:
     def put(
         self, cfg: str, kind: str, subject: str, judgment: str, payload: str
     ) -> None:
-        self.put_many([(cfg, kind, subject, judgment, payload)])
-
-    def put_many(
-        self, rows: list[tuple[str, str, str, str, str]]
-    ) -> None:
-        """Insert rows in one transaction (idempotent: same key, same
-        content — ``INSERT OR REPLACE`` keeps retries safe)."""
-        if not rows:
-            return
+        """Insert one row (idempotent: same key, same content —
+        ``INSERT OR REPLACE`` keeps retries safe)."""
         now = time.time()
         try:
             with self._lock, self._db as db:
-                db.executemany(
+                db.execute(
                     "INSERT OR REPLACE INTO summaries VALUES"
                     " (?, ?, ?, ?, ?, ?, ?)",
-                    [(*row, now, now) for row in rows],
+                    (cfg, kind, subject, judgment, payload, now, now),
                 )
-            self.stats.puts += len(rows)
+            self.stats.puts += 1
         except sqlite3.OperationalError:
             self.stats.errors += 1
-
-    def touch_used(self, keys: list[tuple[str, str, str, str]]) -> None:
-        """Batch-refresh ``last_used`` for keys served from a preload."""
-        if keys:
-            self._touch(keys)
 
     # -- meta ------------------------------------------------------------
 
@@ -336,6 +305,17 @@ class IncrStore:
         self.close()
 
 
+def default_store_path() -> str:
+    """The store path used when none is given: ``$REPRO_INCR_STORE``
+    or ``~/.cache/repro/incr.sqlite``."""
+    override = os.environ.get(STORE_ENV)
+    if override:
+        return override
+    return os.path.join(
+        os.path.expanduser("~"), ".cache", "repro", "incr.sqlite"
+    )
+
+
 def open_store(
     path: str | None, max_bytes: int | None = None
 ) -> IncrStore | None:
@@ -384,7 +364,7 @@ def render_stats(summary: dict) -> str:
             f"  {_format_bytes(info['payload_bytes'])}"
         )
     lines.append(
-        "session   hits {hits}  misses {misses}  stale {stale_rejections}"
+        "session   hits {hits}  misses {misses}"
         "  puts {puts}  errors {errors}".format(**summary)
     )
     return "\n".join(lines)
@@ -394,8 +374,9 @@ __all__ = [
     "IncrStore",
     "StoreStats",
     "STORE_SCHEMA",
-    "KIND_SUB",
     "KIND_RESPONSE",
+    "STORE_ENV",
+    "default_store_path",
     "open_store",
     "describe",
     "render_stats",

@@ -2,7 +2,7 @@
 
 Times representative workloads with the eval cache off and on, checks the
 cached answers are identical to the uncached ones, and writes the
-result as ``BENCH_perf.json`` (schema ``repro.perf.bench/9``).  The
+result as ``BENCH_perf.json`` (schema ``repro.perf.bench/10``).  The
 CI smoke job runs ``--quick`` and fails on a malformed payload or on
 any cached/uncached divergence.
 
@@ -35,14 +35,7 @@ Workloads:
   (the validator fails if the pushdown answer is ever *less* precise
   than direct's), visits, and walls.  This is the Theorem 5.1 story
   in benchmark form: exact call/return matching buys precision, the
-  row data shows what it costs in work;
-- the ``incremental`` section: cold (from-scratch) vs warm (unedited
-  replay) vs warm-one-edit walls against the `repro.incr` persistent
-  summary store, on the two large CPS workloads whose edits are
-  abstract-value-neutral (``top-conditional-chain`` and
-  ``ackermann-open``).  Warm walls include recorder setup (hashing,
-  working-set preload), so the warm-edit-beats-cold gate is honest
-  about the subsystem's own overhead.
+  row data shows what it costs in work.
 
 Workloads whose uncached wall time is under a millisecond are flagged
 ``noise_exempt``: their speedup ratios are scheduler noise, and
@@ -58,7 +51,7 @@ from typing import Any, Callable
 
 from repro.analysis.registry import analyzer_class, check_engine
 
-SCHEMA = "repro.perf.bench/9"
+SCHEMA = "repro.perf.bench/10"
 
 #: Workloads faster than this (uncached) are too small to time: their
 #: speedup ratios are dominated by scheduler jitter, so they carry
@@ -78,8 +71,6 @@ _CACHED_FIELDS = _RUN_FIELDS + (
 )
 _ENGINE_TREE_FIELDS = ("wall_s", "visits")
 _ENGINE_PLAN_FIELDS = ("compile_s", "run_s", "visits")
-_INCR_COLD_FIELDS = ("wall_s", "visits")
-_INCR_WARM_FIELDS = ("wall_s", "visits", "store_hits")
 
 
 def _timed(
@@ -418,139 +409,6 @@ def _pushdown_section(quick: bool, repeat: int) -> list[dict]:
     return entries
 
 
-def _incremental_row(
-    name: str,
-    base: Any,
-    edited: Any,
-    initial: dict,
-    repeat: int,
-    loop_mode: str = "reject",
-) -> dict:
-    """Cold (from-scratch), warm (unedited replay), and warm-one-edit
-    walls for one workload against a fresh persistent store.
-
-    Cold runs carry no recorder — they are the plain from-scratch
-    baseline.  The store is seeded once (untimed), then warm runs
-    attach a *read-only* recorder so repetitions cannot warm the store
-    for each other: the edited run is always measured against exactly
-    the old term's summaries.  Recorder setup (Merkle hashing and the
-    working-set preload) is inside the timed region — a real
-    incremental run pays it, so the speedup must too.
-    """
-    from repro.analysis.semantic_cps import SemanticCpsAnalyzer
-    from repro.incr.hash import TermHasher, merkle_diff
-    from repro.incr.recorder import SummaryRecorder
-    from repro.incr.store import IncrStore
-
-    def make(term):
-        return SemanticCpsAnalyzer(
-            term, initial=dict(initial), loop_mode=loop_mode, cache=True
-        )
-
-    hasher = TermHasher()
-    with IncrStore(":memory:") as store:
-        _, cold_res, cold_wall = _timed(lambda: make(base), repeat)
-        _, edit_ref, _ = _timed(lambda: make(edited), 1)
-        seeder = make(base)
-        seed_rec = SummaryRecorder(
-            seeder,
-            store,
-            program=base,
-            initial_store=seeder.initial_store,
-            hasher=hasher,
-        )
-        seeder.attach_recorder(seed_rec)
-        seeder.run()
-        seed_rec.flush()
-
-        def replay(term):
-            best = None
-            for _ in range(max(1, repeat)):
-                analyzer = make(term)
-                before = store.stats.hits
-                start = time.perf_counter()
-                analyzer.attach_recorder(
-                    SummaryRecorder(
-                        analyzer,
-                        store,
-                        program=term,
-                        initial_store=analyzer.initial_store,
-                        hasher=hasher,
-                        readonly=True,
-                    )
-                )
-                result = analyzer.run()
-                wall = time.perf_counter() - start
-                hits = store.stats.hits - before
-                if best is None or wall < best[1]:
-                    best = (result, wall, hits)
-            return best
-
-        warm_res, warm_wall, warm_hits = replay(base)
-        edit_res, edit_wall, edit_hits = replay(edited)
-        dirty = merkle_diff(base, edited, hasher)
-    return {
-        "name": name,
-        "analyzer": "semantic-cps",
-        "cold": {"wall_s": cold_wall, "visits": cold_res.stats.visits},
-        "warm": {
-            "wall_s": warm_wall,
-            "visits": warm_res.stats.visits,
-            "store_hits": warm_hits,
-        },
-        "edited": {
-            "wall_s": edit_wall,
-            "visits": edit_res.stats.visits,
-            "store_hits": edit_hits,
-            "dirty_paths": len(dirty),
-        },
-        "speedup": cold_wall / edit_wall if edit_wall > 0 else 0.0,
-        "noise_exempt": cold_wall < NOISE_FLOOR_S,
-        "answers_equal": (
-            warm_res.answer == cold_res.answer
-            and edit_res.answer == edit_ref.answer
-        ),
-    }
-
-
-def _incremental_section(quick: bool, repeat: int) -> list[dict]:
-    """The two incremental showcase workloads: an exponential-path
-    chain and an open-argument Ackermann, each with an
-    abstract-value-neutral one-sub-term edit (the store can only
-    replay a judgment whose entry store is unchanged, so the edit must
-    not perturb abstract values at the reused frames)."""
-    from repro.corpus import ackermann_open, top_conditional_chain
-    from repro.domains.absval import Lattice
-    from repro.domains.constprop import ConstPropDomain
-
-    lattice = Lattice(ConstPropDomain())
-    # k = 32 in quick mode too: the chain must be long enough that the
-    # cold wall clears recorder setup (~1.5ms of hashing + preload)
-    # with margin, or the warm-edit-beats-cold gate rides the noise.
-    k = 32
-    tcc = top_conditional_chain(k)
-    tcc_edit = top_conditional_chain(k, p_addend=3)
-    ack = ackermann_open(1)
-    ack_edit = ackermann_open(2)
-    return [
-        _incremental_row(
-            f"incremental/{tcc.name}",
-            tcc.term,
-            tcc_edit.term,
-            tcc.initial_for(lattice),
-            repeat,
-        ),
-        _incremental_row(
-            "incremental/ackermann-open",
-            ack.term,
-            ack_edit.term,
-            ack.initial_for(lattice),
-            repeat,
-            loop_mode="top",
-        ),
-    ]
-
-
 def _survey_results_match(serial: Any, parallel: Any) -> bool:
     """Field-by-field identity of two `SurveyResult` aggregates —
     the bit-identity contract of an order-preserving parallel fold."""
@@ -674,7 +532,6 @@ def run_bench(
         "engine": _engine_workloads(quick, repeat),
         "pushdown": _pushdown_section(quick, repeat),
         "parallel": _parallel_section(quick, engine, jobs),
-        "incremental": _incremental_section(quick, repeat),
     }
     validate_bench(payload)
     if out is not None:
@@ -814,55 +671,6 @@ def validate_bench(payload: Any) -> None:
                 f"{parallel['required_speedup']:.2f}x floor "
                 f"({parallel['cpus']} CPUs, jobs={parallel['jobs']})"
             )
-    incremental = payload.get("incremental")
-    if not isinstance(incremental, list) or not incremental:
-        raise ValueError(
-            "bench payload must carry a non-empty incremental section"
-        )
-    for entry in incremental:
-        for field in (
-            "name", "analyzer", "cold", "warm", "edited", "speedup",
-            "noise_exempt", "answers_equal",
-        ):
-            if field not in entry:
-                raise ValueError(
-                    f"incremental row missing field {field!r}: {entry!r}"
-                )
-        for field in _INCR_COLD_FIELDS:
-            if field not in entry["cold"]:
-                raise ValueError(
-                    f"incremental row {entry['name']!r} cold run "
-                    f"missing {field!r}"
-                )
-        for run in ("warm", "edited"):
-            for field in _INCR_WARM_FIELDS:
-                if field not in entry[run]:
-                    raise ValueError(
-                        f"incremental row {entry['name']!r} {run} run "
-                        f"missing {field!r}"
-                    )
-        if "dirty_paths" not in entry["edited"]:
-            raise ValueError(
-                f"incremental row {entry['name']!r} edited run "
-                "missing 'dirty_paths'"
-            )
-        # Bit-identity is physics-independent: always enforced.
-        if entry["answers_equal"] is not True:
-            raise ValueError(
-                f"incremental row {entry['name']!r}: warm answer "
-                "diverged from from-scratch"
-            )
-        # The point of the subsystem: a one-sub-term edit must beat a
-        # from-scratch run (except where the cold wall is noise).
-        if (
-            not entry["noise_exempt"]
-            and entry["edited"]["wall_s"] >= entry["cold"]["wall_s"]
-        ):
-            raise ValueError(
-                f"incremental row {entry['name']!r}: warm one-edit "
-                f"wall {entry['edited']['wall_s']:.4f}s did not beat "
-                f"the cold wall {entry['cold']['wall_s']:.4f}s"
-            )
 
 
 def validate_bench_file(path: str) -> dict:
@@ -915,19 +723,6 @@ def summarize(payload: dict) -> str:
             f"{entry['pushdown']['wall_s']:>9.4f}s "
             f"{entry['work_ratio']:>6.1f}x "
             f"{entry['verdict']}"
-        )
-    lines.append("")
-    lines.append(
-        f"{'incremental':38} {'cold':>10} {'warm':>10} {'one-edit':>10} {'speedup':>8}"
-    )
-    for entry in payload["incremental"]:
-        name = entry["name"] + ("*" if entry.get("noise_exempt") else "")
-        lines.append(
-            f"{name:38} "
-            f"{entry['cold']['wall_s']:>9.4f}s "
-            f"{entry['warm']['wall_s']:>9.4f}s "
-            f"{entry['edited']['wall_s']:>9.4f}s "
-            f"{entry['speedup']:>7.1f}x"
         )
     parallel = payload["parallel"]
     lines.append("")

@@ -6,10 +6,10 @@ re-printed from its normalized term (so whitespace/comment variants of
 the same program collide), options carry their resolved values, and
 the sha256 of the sorted-JSON spec is the cross-request cache key.
 
-Execution then runs the exact in-process API (`repro.incr.run_analysis`
-over the registry's one analyzer dispatch, `repro.interp`,
-`repro.api.run_comparison`) — the service's responses are
-byte-identical to what a local caller gets, which the differential
+Execution then runs the exact in-process API (the registry's one
+analyzer dispatch, `repro.analysis.registry.run_analyzer`;
+`repro.interp`; `repro.api.run_comparison`) — the service's responses
+are byte-identical to what a local caller gets, which the differential
 tests pin.
 
 Analyzer and interpreter names come from the canonical registry
@@ -33,13 +33,13 @@ from repro.analysis.registry import (
     ANALYZERS,
     ENGINES,
     INTERPRETERS,
+    run_analyzer,
 )
 from repro.anf import normalize
 from repro.api import analysis_initial, run_comparison
 from repro.corpus.programs import PROGRAMS, CorpusProgram
 from repro.cps import cps_transform
 from repro.domains import DOMAINS, Lattice
-from repro.incr.driver import run_analysis
 from repro.incr.hash import term_hash
 from repro.interp import run_direct, run_semantic_cps, run_syntactic_cps
 from repro.interp.values import Env, Store
@@ -456,7 +456,6 @@ def _execute_analyze(
     deadline: Deadline,
     trace: Sink,
     metrics: Metrics | None,
-    incr_store=None,
 ) -> dict:
     spec = prep.spec
     program_hash = term_hash(prep.term)
@@ -470,16 +469,12 @@ def _execute_analyze(
         }
     domain = DOMAINS[spec["domain"]]()
     deadline.check()
-    # With an incr store, the tree engine's eval memo persists through
-    # it (cache on, not pushdown); the result is bit-identical either
-    # way — the serve differential tests pin it.
-    result, _ = run_analysis(
+    result = run_analyzer(
         spec["analyzer"],
         prep.term,
         engine=spec["engine"],
         domain=domain,
         initial=_analysis_initial(prep, Lattice(domain)),
-        store=incr_store,
         k=spec["k"],
         loop_mode=spec["loop_mode"],
         unroll_bound=spec["unroll_bound"],
@@ -621,7 +616,6 @@ def execute_prepared(
     deadline: Deadline | None = None,
     trace: Sink = NULL_SINK,
     metrics: Metrics | None = None,
-    incr_store=None,
 ) -> dict:
     """Run a prepared request and return the JSON-ready response body.
 
@@ -641,9 +635,7 @@ def execute_prepared(
             if prep.debug_sleep_ms:
                 _debug_sleep(prep, deadline)
             if prep.kind == "analyze":
-                return _execute_analyze(
-                    prep, deadline, trace, metrics, incr_store
-                )
+                return _execute_analyze(prep, deadline, trace, metrics)
             if prep.kind == "lint":
                 return _execute_lint(prep, deadline, trace, metrics)
             if prep.kind == "run":
@@ -662,12 +654,10 @@ def execute_request(
     deadline: Deadline | None = None,
     trace: Sink = NULL_SINK,
     metrics: Metrics | None = None,
-    incr_store=None,
 ) -> dict:
     """Validate and run one request end to end (the in-process
     equivalent of POSTing to ``/v1/<kind>``)."""
     prep = prepare_request(kind, payload, defaults)
     return execute_prepared(
-        prep, deadline=deadline, trace=trace, metrics=metrics,
-        incr_store=incr_store,
+        prep, deadline=deadline, trace=trace, metrics=metrics
     )

@@ -126,8 +126,9 @@ class Reply:
 
 
 class RequestPipeline:
-    """The defaults, prepare memo, response caches, trace sink,
-    metrics, and incr store one serve process answers requests with.
+    """The defaults, prepare memo, response caches (the in-memory LRU
+    and, with an incr store, the persistent response tier), trace sink,
+    and metrics one serve process answers requests with.
     ``cache_size`` bounds the prepare memo and the response LRU alike
     (0 turns both off)."""
 
@@ -142,7 +143,6 @@ class RequestPipeline:
         self.defaults = defaults
         self.metrics = metrics
         self.trace = trace
-        self.incr_store = incr_store
         self.cache = ResultCache(cache_size, metrics=metrics, trace=trace)
         self._memo_size = cache_size
         self._memo: "OrderedDict[tuple[str, str], PreparedRequest]" = (
@@ -265,7 +265,6 @@ class RequestPipeline:
             deadline=deadline,
             trace=self.trace,
             metrics=self.metrics,
-            incr_store=self.incr_store,
         )
         with obs_trace.span("serialize"):
             body = _dumps(response)

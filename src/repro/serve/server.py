@@ -500,9 +500,7 @@ class AnalysisService:
             # Runtime counters live in the shard processes; the
             # dispatcher's own connection only reads.  Sum them so the
             # top-level block keeps one hit-rate, like ``cache``.
-            totals = dict.fromkeys(
-                ("hits", "misses", "stale_rejections", "puts", "errors"), 0
-            )
+            totals = dict.fromkeys(("hits", "misses", "puts", "errors"), 0)
             for shard in shards:
                 stats = shard.get("incr_store") or {}
                 for name in totals:
@@ -562,7 +560,7 @@ class AnalysisService:
             block = self._incr_store_block(executor.get("shards"))
             for name in (
                 "bytes", "entries", "generation", "gc_runs",
-                "hits", "misses", "stale_rejections", "puts", "errors",
+                "hits", "misses", "puts", "errors",
             ):
                 self.metrics.gauge(f"serve.incr_store.{name}").set(
                     block.get(name, 0)

@@ -3,12 +3,11 @@
 For each supported ``(analyzer, engine)`` pair of
 `repro.analysis.registry` and a handful of programs (the Theorem 5.1
 and 5.2 witnesses plus two corpus programs), the library entry
-`run_analyzer`, the incremental driver's `repro.incr.run_analysis`,
-the service's ``execute_request("analyze", ...)`` and ``repro analyze
---analyzer A --engine E --json`` must return the same ``to_dict()``
-body — answer, store and full `AnalysisStats`.  The one unsupported
-pair (pushdown on the plan engine) must fail the same way at each
-door, and an unknown engine must be refused.
+`run_analyzer`, the service's ``execute_request("analyze", ...)`` and
+``repro analyze --analyzer A --engine E --json`` must return the same
+``to_dict()`` body — answer, store and full `AnalysisStats`.  The one
+unsupported pair (pushdown on the plan engine) must fail the same way
+at each door, and an unknown engine must be refused.
 """
 
 import json
@@ -27,7 +26,6 @@ from repro.api import analysis_initial
 from repro.cli import main
 from repro.corpus.programs import PROGRAMS
 from repro.domains import ConstPropDomain, Lattice
-from repro.incr import run_analysis
 from repro.lang.pretty import pretty_flat
 from repro.serve.codes import CODES, ServeError
 from repro.serve.jobs import execute_request
@@ -69,7 +67,7 @@ def test_the_matrix_is_nine_pairs():
 @pytest.mark.parametrize("analyzer,engine", PAIRS)
 def test_open_program_agrees_at_every_door(capsys, analyzer, engine, name):
     # As source text every free variable is ⊤ — the only initial store
-    # all four doors can express.
+    # all three doors can express.
     program = PROGRAMS[name]
     source = pretty_flat(program.term)
     lattice = Lattice(ConstPropDomain())
@@ -78,10 +76,6 @@ def test_open_program_agrees_at_every_door(capsys, analyzer, engine, name):
     library = body_of(
         run_analyzer(analyzer, program.term, engine=engine, initial=initial)
     )
-    incremental, recorder = run_analysis(
-        analyzer, program.term, engine=engine, initial=initial, cache=None
-    )
-    assert recorder is None
     served = execute_request(
         "analyze",
         {"program": source, "analyzer": analyzer, "engine": engine},
@@ -91,7 +85,6 @@ def test_open_program_agrees_at_every_door(capsys, analyzer, engine, name):
         "--analyzer", analyzer, "--engine", engine, "--json",
     )
     assert code == 0
-    assert body_of(incremental) == library
     assert served["result"] == library
     assert json.loads(out) == {"analyzer": analyzer, "result": library}
 
@@ -108,13 +101,9 @@ def test_corpus_assumptions_agree_at_every_library_door(
     library = body_of(
         run_analyzer(analyzer, program.term, engine=engine, initial=initial)
     )
-    incremental, _ = run_analysis(
-        analyzer, program.term, engine=engine, initial=initial, cache=None
-    )
     served = execute_request(
         "analyze", {"corpus": name, "analyzer": analyzer, "engine": engine}
     )
-    assert body_of(incremental) == library
     assert served["result"] == library
 
 
@@ -152,10 +141,6 @@ class TestPushdownOnThePlanEngine:
         with pytest.raises(EngineUnsupported):
             run_analyzer("pushdown", self.term, engine="plan")
 
-    def test_incremental_driver(self):
-        with pytest.raises(EngineUnsupported):
-            run_analysis("pushdown", self.term, engine="plan")
-
     def test_service(self):
         with pytest.raises(ServeError) as info:
             execute_request(
@@ -182,10 +167,6 @@ class TestUnknownEngine:
         # checked before the pushdown plan rule
         with pytest.raises(ValueError, match="engine must be one of"):
             run_analyzer(analyzer, self.term, engine="jit")
-
-    def test_incremental_driver(self):
-        with pytest.raises(ValueError, match="engine must be one of"):
-            run_analysis("direct", self.term, engine="jit")
 
     def test_service(self):
         with pytest.raises(ServeError) as info:

@@ -17,8 +17,6 @@ an operand whenever the join adds nothing to it, which the stores'
 "unchanged" tests rely on.
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,8 +41,6 @@ from repro.domains import (
     SignDomain,
     UnitDomain,
 )
-from repro.domains.constprop import BOT, TOP
-from repro.incr.codec import elem_decode, elem_token
 from repro.lang.ast import Var
 
 DOMAINS = [
@@ -238,15 +234,3 @@ class TestJoinKeepsIdentity:
             lattice.bottom if lattice.is_bottom(x) else x
         )
         assert lattice.join(x, lattice.bottom) is x
-
-
-@settings(max_examples=80, deadline=None)
-@given(picks=elements_strategy)
-def test_constprop_is_bottom_survives_the_codec(picks):
-    """`ConstPropDomain.is_bottom` is an identity test, so elements the
-    incr codec decodes must be the module's own singletons."""
-    domain = ConstPropDomain()
-    for value in (element(domain, picks), BOT, TOP):
-        decoded = elem_decode(json.loads(json.dumps(elem_token(value))))
-        assert decoded == value
-        assert domain.is_bottom(decoded) == (decoded == BOT)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.incr.driver import STORE_ENV
+from repro.incr.store import KIND_RESPONSE, STORE_ENV, IncrStore
 
 
 def run_cli(capsys, *argv):
@@ -32,23 +32,23 @@ class TestPath:
         assert out.strip() == store
 
 
-class TestWarmStatsGc:
-    def test_full_cycle(self, capsys, store):
-        code, out, _ = run_cli(
-            capsys,
-            "cachectl", "warm", "--store", store,
-            "--corpus", "factorial", "--analyzer", "semantic-cps",
-        )
-        assert code == 0
-        assert "factorial" in out
+def _fill(store, rows=3):
+    """Write response rows the way ``repro serve --incr-store`` does."""
+    with IncrStore(store) as handle:
+        for i in range(rows):
+            handle.put("resp/test", KIND_RESPONSE, f"key{i}", "-", "{}")
 
+
+class TestStatsGc:
+    def test_full_cycle(self, capsys, store):
+        _fill(store)
         code, out, _ = run_cli(
             capsys, "cachectl", "stats", "--store", store, "--json"
         )
         assert code == 0
         stats = json.loads(out)
-        assert stats["entries"] > 0
-        entries = stats["entries"]
+        assert stats["entries"] == 3
+        assert stats["by_kind"][KIND_RESPONSE]["entries"] == 3
 
         code, out, _ = run_cli(
             capsys,
@@ -57,7 +57,7 @@ class TestWarmStatsGc:
         )
         assert code == 0
         report = json.loads(out)
-        assert report["evicted"] == entries
+        assert report["evicted"] == 3
         assert report["bytes"] == 0
 
         code, out, _ = run_cli(
@@ -66,42 +66,22 @@ class TestWarmStatsGc:
         assert json.loads(out)["entries"] == 0
 
     def test_stats_human_readable(self, capsys, store):
-        run_cli(capsys, "cachectl", "warm", "--store", store,
-                "--corpus", "constants")
+        _fill(store)
         code, out, _ = run_cli(capsys, "cachectl", "stats", "--store", store)
         assert code == 0
-        assert "schema" in out and "entries" in out
+        assert "schema" in out and "entries 3" in out
 
     def test_gc_requires_max_bytes(self, capsys, store):
         with pytest.raises(SystemExit):
             run_cli(capsys, "cachectl", "gc", "--store", store)
 
-    def test_warm_rejects_unknown_corpus(self, capsys, store):
-        with pytest.raises(SystemExit):
-            run_cli(
-                capsys,
-                "cachectl", "warm", "--store", store,
-                "--corpus", "no-such-program",
-            )
 
-    def test_warmed_store_serves_later_sessions(self, capsys, store):
-        # The whole point of warm: a later analysis session over the
-        # same program starts from the persisted summaries.
-        from repro.corpus import PROGRAMS
-        from repro.domains import ConstPropDomain, Lattice
-        from repro.incr import IncrStore, run_analysis
-
-        run_cli(capsys, "cachectl", "warm", "--store", store,
-                "--corpus", "factorial", "--analyzer", "semantic-cps")
-        program = PROGRAMS["factorial"]
-        initial = program.initial_for(Lattice(ConstPropDomain()))
-        with IncrStore(store) as handle:
-            result, _ = run_analysis(
-                "semantic-cps",
-                program.term,
-                initial=initial,
-                store=handle,
-                loop_mode="top",
-            )
-            assert handle.stats.hits > 0
-        assert result.stats.visits == 1
+def test_help_lists_three_actions(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cachectl", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{stats,gc,path}" in out
+    assert "warm" not in out
+    for flag in ("--corpus", "--analyzer", "--domain"):
+        assert flag not in out

@@ -1,23 +1,34 @@
-"""Stores that still hold ``kind=plan`` rows.
+"""Stores that still hold rows of kinds nothing writes any more.
 
-Compiled plans are no longer persisted (`PlanCache` is in-memory
-only), but a store file written while they were still holds rows of
-kind ``"plan"`` under a ``plan/<codec>/<engine>/<store>`` cfg.  Those
-rows must stay ordinary data: they survive reopening the store, read
-back byte for byte, and show up under their own kind in the summary
-(`tests/incr/test_store.py` checks that `gc` evicts them).
+Compiled plans and sub-term summaries are no longer persisted, but a
+store file written while they were still holds their rows: kind
+``"plan"`` under a ``plan/<codec>/<engine>/<store>`` cfg, and kind
+``"sub"`` under a hex config digest with hex subject and judgment
+digests.  Those rows must stay ordinary data: they survive reopening
+the store, read back byte for byte, and show up under their own kind
+in the summary (`tests/incr/test_store.py` checks that `gc` evicts
+them).  Nothing bumps the schema for them, so a server restarted on
+such a file keeps its ``resp`` rows.
 """
 
-from repro.incr.store import IncrStore
+from repro.incr.store import KIND_RESPONSE, IncrStore
 
-#: The cfg string and row kind the old plan tier wrote.
-LEGACY_CFG = "plan/1/2/1"
-LEGACY_KIND = "plan"
+#: ``(cfg, kind, subject, judgment, payload)`` rows as the old plan
+#: tier and the old sub-term summary recorder wrote them.
+LEGACY_ROWS = (
+    ("plan/1/2/1", "plan", "subject", "anf", '{"anf": 1}'),
+    ("plan/1/2/1", "plan", "subject", "cps", '{"cps": 22}'),
+    ("3f" * 20, "sub", "a1" * 20, "b2" * 20, '{"answer": [1, [], []]}'),
+    ("3f" * 20, "sub", "c3" * 20, "d4" * 20, '{"answer": [2, [], []]}'),
+)
+
+#: A response row written alongside them.
+RESPONSE_ROW = ("resp/0", KIND_RESPONSE, "key", "-", '{"ok": true}')
 
 
 def _write_legacy_rows(store):
-    store.put(LEGACY_CFG, LEGACY_KIND, "subject", "anf", '{"anf": 1}')
-    store.put(LEGACY_CFG, LEGACY_KIND, "subject", "cps", '{"cps": 22}')
+    for row in LEGACY_ROWS + (RESPONSE_ROW,):
+        store.put(*row)
 
 
 class TestTier:
@@ -26,10 +37,8 @@ class TestTier:
         with IncrStore(path) as store:
             _write_legacy_rows(store)
         with IncrStore(path) as store:
-            anf = store.get(LEGACY_CFG, LEGACY_KIND, "subject", "anf")
-            cps = store.get(LEGACY_CFG, LEGACY_KIND, "subject", "cps")
-            assert anf == '{"anf": 1}'
-            assert cps == '{"cps": 22}'
+            for *key, payload in LEGACY_ROWS + (RESPONSE_ROW,):
+                assert store.get(*key) == payload
 
     def test_store_summary_breaks_out_plan_kind(self, tmp_path):
         path = str(tmp_path / "s.sqlite")
@@ -37,7 +46,13 @@ class TestTier:
             _write_legacy_rows(store)
         with IncrStore(path) as store:
             by_kind = store.summary()["by_kind"]
-            assert by_kind[LEGACY_KIND]["entries"] == 2
-            assert by_kind[LEGACY_KIND]["payload_bytes"] == len(
-                '{"anf": 1}'
-            ) + len('{"cps": 22}')
+        for kind in ("plan", "sub", KIND_RESPONSE):
+            payloads = [
+                row[4]
+                for row in LEGACY_ROWS + (RESPONSE_ROW,)
+                if row[1] == kind
+            ]
+            assert by_kind[kind] == {
+                "entries": len(payloads),
+                "payload_bytes": sum(map(len, payloads)),
+            }

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 from repro.incr.store import (
-    KIND_SUB,
+    KIND_RESPONSE,
     STORE_SCHEMA,
     IncrStore,
     describe,
@@ -21,36 +21,27 @@ class TestRoundTrip:
     def test_put_get(self, tmp_path):
         path = str(tmp_path / "s.sqlite")
         with IncrStore(path) as store:
-            store.put("cfg", KIND_SUB, "subj", "judg", "payload-1")
-            assert store.get("cfg", KIND_SUB, "subj", "judg") == "payload-1"
+            store.put("cfg", KIND_RESPONSE, "subj", "judg", "payload-1")
+            assert store.get("cfg", KIND_RESPONSE, "subj", "judg") == "payload-1"
             assert store.stats.hits == 1
             assert store.stats.puts == 1
 
     def test_miss_counts(self, tmp_path):
         with IncrStore(str(tmp_path / "s.sqlite")) as store:
-            assert store.get("cfg", KIND_SUB, "absent", "-") is None
+            assert store.get("cfg", KIND_RESPONSE, "absent", "-") is None
             assert store.stats.misses == 1
 
     def test_survives_reopen(self, tmp_path):
         path = str(tmp_path / "s.sqlite")
         with IncrStore(path) as store:
-            store.put("cfg", KIND_SUB, "subj", "judg", "payload-2")
+            store.put("cfg", KIND_RESPONSE, "subj", "judg", "payload-2")
         with IncrStore(path) as store:
-            assert store.get("cfg", KIND_SUB, "subj", "judg") == "payload-2"
-
-    def test_load_working_set(self, tmp_path):
-        with IncrStore(str(tmp_path / "s.sqlite")) as store:
-            store.put("cfg", KIND_SUB, "a", "j1", "p1")
-            store.put("cfg", KIND_SUB, "a", "j2", "p2")
-            store.put("cfg", KIND_SUB, "b", "j3", "p3")
-            store.put("other", KIND_SUB, "a", "j1", "px")
-            got = store.load("cfg", KIND_SUB, ["a", "missing"])
-        assert got == {("a", "j1"): "p1", ("a", "j2"): "p2"}
+            assert store.get("cfg", KIND_RESPONSE, "subj", "judg") == "payload-2"
 
     def test_put_replace_idempotent(self, tmp_path):
         with IncrStore(str(tmp_path / "s.sqlite")) as store:
-            store.put("cfg", KIND_SUB, "s", "j", "v1")
-            store.put("cfg", KIND_SUB, "s", "j", "v1")
+            store.put("cfg", KIND_RESPONSE, "s", "j", "v1")
+            store.put("cfg", KIND_RESPONSE, "s", "j", "v1")
             assert store.summary()["entries"] == 1
 
 
@@ -58,7 +49,7 @@ class TestSchema:
     def test_schema_mismatch_starts_clean(self, tmp_path):
         path = str(tmp_path / "s.sqlite")
         with IncrStore(path) as store:
-            store.put("cfg", KIND_SUB, "s", "j", "old")
+            store.put("cfg", KIND_RESPONSE, "s", "j", "old")
             generation = store.generation()
         # Forge a header from a different layout.
         db = sqlite3.connect(path)
@@ -69,7 +60,7 @@ class TestSchema:
             )
         db.close()
         with IncrStore(path) as store:
-            assert store.get("cfg", KIND_SUB, "s", "j") is None
+            assert store.get("cfg", KIND_RESPONSE, "s", "j") is None
             # The wipe bumped the generation: volatile caches keyed on
             # it cannot serve pre-wipe bodies.
             assert store.generation() > generation
@@ -94,18 +85,19 @@ class TestGc:
         path = str(tmp_path / "s.sqlite")
         with IncrStore(path) as store:
             for i in range(10):
-                store.put("cfg", KIND_SUB, f"s{i}", "j", "x" * 100)
-            # Rows of kind "plan", as stores written before plan
-            # persistence was removed still hold them.
+                store.put("cfg", KIND_RESPONSE, f"s{i}", "j", "x" * 100)
+            # Rows of kinds "plan" and "sub", as stores written before
+            # plan and sub-term summary persistence were removed still
+            # hold them.
             for kind in ("anf", "cps"):
                 store.put("plan/1/2/1", "plan", "subject", kind, "{}")
+                store.put("3f" * 20, "sub", kind, "b2" * 20, "{}")
         with IncrStore(path) as store:
-            assert store.summary()["by_kind"]["plan"] == {
-                "entries": 2,
-                "payload_bytes": 4,
-            }
+            by_kind = store.summary()["by_kind"]
+            for kind in ("plan", "sub"):
+                assert by_kind[kind] == {"entries": 2, "payload_bytes": 4}
             report = store.gc(max_bytes=0)
-            assert report["evicted"] == 12
+            assert report["evicted"] == 14
             assert report["bytes"] == 0
             assert store.summary()["entries"] == 0
 
@@ -114,7 +106,7 @@ class TestGc:
             # 600 rows of 100 bytes; keep roughly half.  Eviction is
             # LRU in batches, so the survivors are the *newest* rows.
             for i in range(600):
-                store.put("cfg", KIND_SUB, f"s{i}", "j", "x" * 100)
+                store.put("cfg", KIND_RESPONSE, f"s{i}", "j", "x" * 100)
             report = store.gc(max_bytes=30_000)
             assert report["bytes"] <= 30_000
             assert 0 < report["evicted"] < 600
@@ -139,7 +131,7 @@ class TestOpenStore:
     def test_describe_and_render(self, tmp_path):
         path = str(tmp_path / "s.sqlite")
         with IncrStore(path) as store:
-            store.put("cfg", KIND_SUB, "s", "j", "payload")
+            store.put("cfg", KIND_RESPONSE, "s", "j", "payload")
         summary = describe(path)
         assert summary["entries"] == 1
         text = render_stats(summary)
@@ -149,11 +141,11 @@ class TestOpenStore:
 
 CRASH_SCRIPT = """
 import os, sys
-from repro.incr.store import IncrStore, KIND_SUB
+from repro.incr.store import IncrStore, KIND_RESPONSE
 
 store = IncrStore(sys.argv[1])
 for i in range(10_000):
-    store.put("cfg", KIND_SUB, f"crash{i}", "j", "x" * 200)
+    store.put("cfg", KIND_RESPONSE, f"crash{i}", "j", "x" * 200)
     if i == 500:
         print("ready", flush=True)
 """
@@ -181,6 +173,6 @@ class TestCrashRecovery:
             # reads and writes.
             entries = store.summary()["entries"]
             assert entries >= 500
-            store.put("cfg", KIND_SUB, "after", "j", "ok")
-            assert store.get("cfg", KIND_SUB, "after", "j") == "ok"
-            assert store.get("cfg", KIND_SUB, "crash0", "j") == "x" * 200
+            store.put("cfg", KIND_RESPONSE, "after", "j", "ok")
+            assert store.get("cfg", KIND_RESPONSE, "after", "j") == "ok"
+            assert store.get("cfg", KIND_RESPONSE, "crash0", "j") == "x" * 200

@@ -14,7 +14,6 @@ import pytest
 from repro.perf.bench import (
     SCHEMA,
     _engine_row,
-    _incremental_row,
     _workload,
     summarize,
     validate_bench,
@@ -26,7 +25,7 @@ def make_payload() -> dict:
     """A minimal well-formed bench payload (one real tiny workload)."""
     from repro.analysis.engine import SemanticCpsPlanAnalyzer
     from repro.analysis.semantic_cps import SemanticCpsAnalyzer
-    from repro.corpus import PROGRAMS, top_conditional_chain
+    from repro.corpus import PROGRAMS
     from repro.domains import ConstPropDomain, Lattice
     from repro.machine.absplan import compile_anf_plan
 
@@ -61,14 +60,6 @@ def make_payload() -> dict:
         "work_ratio": 1.0,
         "noise_exempt": False,
     }
-    tcc = top_conditional_chain(4)
-    incr_entry = _incremental_row(
-        f"incremental/{tcc.name}",
-        tcc.term,
-        top_conditional_chain(4, p_addend=3).term,
-        tcc.initial_for(Lattice(ConstPropDomain())),
-        repeat=2,
-    )
     return {
         "schema": SCHEMA,
         "quick": True,
@@ -98,7 +89,6 @@ def make_payload() -> dict:
                 }
             ],
         },
-        "incremental": [incr_entry],
     }
 
 
@@ -239,46 +229,6 @@ class TestValidate:
         with pytest.raises(ValueError, match="visits"):
             validate_bench(payload)
 
-    def test_missing_incremental_section_rejected(self):
-        payload = make_payload()
-        del payload["incremental"]
-        with pytest.raises(ValueError, match="incremental section"):
-            validate_bench(payload)
-
-    def test_incremental_divergence_rejected(self):
-        payload = make_payload()
-        payload["incremental"][0]["answers_equal"] = False
-        with pytest.raises(ValueError, match="warm answer"):
-            validate_bench(payload)
-
-    def test_incremental_missing_store_hits_rejected(self):
-        payload = make_payload()
-        del payload["incremental"][0]["edited"]["store_hits"]
-        with pytest.raises(ValueError, match="store_hits"):
-            validate_bench(payload)
-
-    def test_incremental_missing_dirty_paths_rejected(self):
-        payload = make_payload()
-        del payload["incremental"][0]["edited"]["dirty_paths"]
-        with pytest.raises(ValueError, match="dirty_paths"):
-            validate_bench(payload)
-
-    def test_incremental_edit_slower_than_cold_rejected(self):
-        payload = make_payload()
-        entry = payload["incremental"][0]
-        entry["noise_exempt"] = False
-        entry["cold"]["wall_s"] = 0.010
-        entry["edited"]["wall_s"] = 0.020
-        with pytest.raises(ValueError, match="did not beat"):
-            validate_bench(payload)
-
-    def test_incremental_noise_exempt_skips_speedup_gate(self):
-        payload = make_payload()
-        entry = payload["incremental"][0]
-        entry["noise_exempt"] = True
-        entry["cold"]["wall_s"] = 0.0001
-        entry["edited"]["wall_s"] = 0.0002
-        validate_bench(payload)
 
 class TestRoundTrip:
     def test_payload_is_json_round_trippable(self, tmp_path):
@@ -303,7 +253,6 @@ class TestRoundTrip:
         assert "engine/constants" in text
         assert "pushdown/constants" in text
         assert "parallel random-open" in text
-        assert "incremental/top-conditional-chain-4" in text
 
     def test_workload_answers_equal(self):
         # The real cached-vs-uncached comparison inside _workload.
