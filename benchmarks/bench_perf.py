@@ -20,7 +20,6 @@ from repro.corpus import (
     corpus_program,
     top_conditional_chain,
 )
-from repro.dataflow import build_problem, solve_mfp
 from repro.domains import ConstPropDomain, Lattice
 
 DOM = ConstPropDomain()
@@ -67,27 +66,3 @@ def test_cache_stack_on_corpus(benchmark, config, name):
     expected = _run_semantic(program, False, None)
 
     benchmark(lambda: _run_semantic(program, CONFIGS[config], expected))
-
-
-@pytest.mark.experiment("perf-ablation")
-@pytest.mark.parametrize("cache", [False, True], ids=["off", "memo"])
-def test_mfp_join_memo(benchmark, cache):
-    from repro.anf import normalize
-    from repro.lang.parser import parse
-
-    term = normalize(
-        parse(
-            "(let (a1 (if0 x 0 1))"
-            " (let (a2 (if0 a1 (+ a1 3) (+ a1 2))) a2))"
-        ),
-        ensure_unique=False,
-    )
-    problem = build_problem(term, DOM, entry_facts={"x": DOM.top})
-    expected = solve_mfp(problem)
-
-    def run():
-        solution = solve_mfp(problem, cache=cache)
-        assert solution == expected
-        return solution
-
-    benchmark(run)

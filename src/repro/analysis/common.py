@@ -1,8 +1,12 @@
-"""Shared machinery for the three abstract collecting interpreters.
+"""Shared machinery for the abstract collecting interpreters.
 
 Abstract closures and continuations (Section 4.1), the ``CL⊤``/``K⊤``
 collectors used by the loop-detection rules (Section 4.4), answers,
-statistics, and configuration.
+statistics, and configuration — and the analyzer skeleton: every rule
+that does not depend on the engine or on the figure is written once
+here (`WorkBudgetMixin` for all nine tree and plan analyzers,
+`CpsAnalyzerMixin` for the four CPS ones), so each analyzer class
+holds only the rules the paper compares.
 """
 
 from __future__ import annotations
@@ -12,9 +16,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator
 
+from repro.analysis.result import AnalysisResult
+from repro.anf.validate import validate_anf
 from repro.cps.ast import CApp, CIf0, CLam, CLoop, CPrim, CTerm
 from repro.cps.validate import cps_subterms
 from repro.domains.absval import AbsVal, Lattice
+from repro.domains.constprop import ConstPropDomain
+from repro.domains.protocol import NumDomain
 from repro.domains.store import AbsStore
 from repro.lang.ast import Lam, Num, Prim, Term, Var
 from repro.lang.syntax import subterms
@@ -368,7 +376,15 @@ _FOOTPRINT_LIMIT = 50_000
 
 
 class WorkBudgetMixin:
-    """Visit counting, tracing, caching, and an optional budget.
+    """The analyzer skeleton: set-up, ``run``, visit counting, tracing,
+    caching, answer joins, and an optional budget.
+
+    A subclass's constructor calls :meth:`setup` (the grammar check of
+    :meth:`check_term`, lattice, counters, obs hooks, eval memo and
+    active path) and then builds its own initial store; it supplies
+    the entry judgment as :meth:`_entry` and may wrap the answer in
+    :meth:`_result`.  Everything else it defines is a rule of its
+    figure: ``eval``/``_eval``, ``apply``, ``ret``, ``_branch`` and φ.
 
     Analyzers call :meth:`tick` once per rule application; when
     ``max_visits`` is set, exceeding it aborts the analysis — the
@@ -573,6 +589,67 @@ class WorkBudgetMixin:
                 )
         return after
 
+    # -- skeleton -------------------------------------------------------
+
+    def setup(
+        self,
+        term,
+        domain: NumDomain | None,
+        check: bool,
+        max_visits: int | None,
+        trace: Sink | None,
+        metrics: Metrics | None,
+        cache: bool,
+    ) -> None:
+        """The constructor preamble every analyzer shares: check the
+        term's grammar when ``check`` is set, then build the lattice
+        (constant propagation by default, as in the paper), the
+        counters, the obs hooks, the eval memo and the active path."""
+        if check:
+            self.check_term(term)
+        self.term = term
+        self.lattice = Lattice(
+            domain if domain is not None else ConstPropDomain()
+        )
+        self.stats = AnalysisStats()
+        self.max_visits = max_visits
+        self.init_obs(trace, metrics)
+        self.init_perf(cache)
+        self._active: dict = {}
+        self._depth = 0
+
+    def check_term(self, term) -> None:
+        """The ``check=True`` grammar check: the restricted (A-normal
+        form) subset, overridden by the syntactic-CPS analyzers."""
+        validate_anf(term)
+
+    def run(self, *entry):
+        """Analyze the program and return the result."""
+        try:
+            with recursion_headroom():
+                answer = self._entry(*entry)
+        finally:
+            self.finish_metrics()
+        return self._result(answer)
+
+    def _entry(self) -> AAnswer:
+        """The analysis of the whole program from its initial store."""
+        return self.eval(self.term, self.initial_store)
+
+    def _result(self, answer: AAnswer):
+        """Wrap the entry judgment's answer for the caller."""
+        return AnalysisResult(
+            self.analyzer_name, answer, self.stats, self.lattice
+        )
+
+    def join_answers(self, a: AAnswer, b: AAnswer, site: str) -> AAnswer:
+        """Merge two abstract answers at ``site`` (``if0``, ``apply``,
+        ``return`` or ``loop``), counted as one join."""
+        self.count_join(site)
+        return AAnswer(
+            self.lattice.join(a.value, b.value), a.store.join(b.store)
+        )
+
     def finish_metrics(self) -> None:
         """Fold the final stats into the metrics registry (if any)
         under ``analysis.<analyzer_name>``, plus the eval-memo
@@ -605,3 +682,44 @@ def check_loop_mode(mode: str) -> str:
     if mode not in LOOP_MODES:
         raise ValueError(f"loop_mode must be one of {LOOP_MODES}, got {mode!r}")
     return mode
+
+
+class CpsAnalyzerMixin(WorkBudgetMixin):
+    """What the four CPS analyzers (semantic and syntactic, tree and
+    plan) share beyond the skeleton: the Section 6.2 ``loop`` rule.
+
+    A subclass names its ``reject`` message in `loop_reject_message`
+    and supplies ``ret(kont, value, store)``; the continuation is
+    whatever that ``ret`` takes (a frame stack or a set of abstract
+    continuations).
+    """
+
+    loop_mode: str
+    unroll_bound: int
+    #: The `NonComputableError` message of ``loop_mode='reject'``.
+    loop_reject_message: str
+
+    def init_loop(self, loop_mode: str, unroll_bound: int) -> None:
+        """Validate and keep the ``loop`` treatment (constructor
+        helper)."""
+        self.loop_mode = check_loop_mode(loop_mode)
+        self.unroll_bound = unroll_bound
+
+    def _loop(self, kont, store) -> AAnswer:
+        """Section 6.2: ``loop`` passes every natural number to the
+        continuation; the exact join is not computable."""
+        lattice = self.lattice
+        if self.loop_mode == "reject":
+            raise NonComputableError(self.loop_reject_message)
+        if self.loop_mode == "top":
+            return self.ret(kont, lattice.of_num(lattice.domain.iota), store)
+        answer: AAnswer | None = None
+        for i in range(self.unroll_bound + 1):
+            branch = self.ret(kont, lattice.of_const(i), store)
+            answer = (
+                branch
+                if answer is None
+                else self.join_answers(answer, branch, "loop")
+            )
+        assert answer is not None
+        return answer

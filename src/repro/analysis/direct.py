@@ -27,19 +27,15 @@ from repro.analysis.common import (
     A_INC,
     AAnswer,
     AbsClo,
-    AnalysisStats,
     WorkBudgetMixin,
     abstract_value,
     canonical_order,
     closures_of_store,
     closures_of_term,
-    recursion_headroom,
 )
 from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
-from repro.anf.validate import validate_anf
-from repro.domains.absval import AbsVal, Lattice
-from repro.domains.constprop import ConstPropDomain
+from repro.domains.absval import AbsVal
 from repro.domains.protocol import NumDomain
 from repro.domains.store import AbsStore
 from repro.lang.ast import (
@@ -90,17 +86,8 @@ class DirectAnalyzer(WorkBudgetMixin):
             cache: turn the eval memo on; results are identical
                 either way, only visit counts and wall time change.
         """
-        if check:
-            validate_anf(term)
-        self.term = term
-        self.lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        self.stats = AnalysisStats()
-        self.max_visits = max_visits
-        self.init_obs(trace, metrics)
-        self.init_perf(cache)
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
         self.initial_store = AbsStore(self.lattice, initial)
-        self._active: dict[tuple[int, AbsStore], int] = {}
-        self._depth = 0
 
     @cached_property
     def top_value(self) -> AbsVal:
@@ -110,21 +97,6 @@ class DirectAnalyzer(WorkBudgetMixin):
             self.initial_store
         )
         return AbsVal(self.lattice.domain.top, cl_top)
-
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
-    def run(self) -> AnalysisResult:
-        """Analyze the program and return the result."""
-        try:
-            with recursion_headroom():
-                answer = self.eval(self.term, self.initial_store)
-        finally:
-            self.finish_metrics()
-        return AnalysisResult(
-            self.analyzer_name, answer, self.stats, self.lattice
-        )
 
     # ------------------------------------------------------------------
     # phi_e: abstract syntactic values (Figure 4, auxiliary function)
@@ -273,11 +245,7 @@ class DirectAnalyzer(WorkBudgetMixin):
             return AAnswer(self.lattice.bottom, store)
         then_answer = self.eval(rhs.then, store)
         else_answer = self.eval(rhs.orelse, store)
-        self.count_join("if0")
-        return AAnswer(
-            self.lattice.join(then_answer.value, else_answer.value),
-            then_answer.store.join(else_answer.store),
-        )
+        return self.join_answers(then_answer, else_answer, "if0")
 
     def _primop(self, rhs: PrimApp, store: AbsStore) -> AbsVal:
         """Abstract a second-class operator application."""

@@ -28,47 +28,62 @@ The polyvariant engine keeps the `AbsStore` keyed by ``(variable,
 context)`` pairs — its location space is not dense — but still gains
 the flat dispatch, precomputed free-variable sets, and interned
 constants.
+
+Only the rules live here: ``eval``/``_eval``, ``apply``, ``ret``,
+``_branch`` and value references, in plan form.  The engine-independent
+rest is shared with the tree analyzers: set-up, ``run()``, the answer
+join and the visit/trace/memo bookkeeping come from
+`repro.analysis.common.WorkBudgetMixin`, the Section 6.2 ``loop`` rule
+and each ``reject`` message from `CpsAnalyzerMixin` and the tree
+classes, the k-CFA set-up from the polyvariant module, and the
+syntactic-CPS initial store from the syntactic-CPS module.  Among the
+engines, `_SlotEngine` loads a plan into a slot store,
+`_AnfPlanEngine` is the direct and semantic-CPS set-up, and
+`_entry_lookup` is the one closure/continuation → entry table.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping
+from typing import Mapping
 
 from repro.analysis.common import (
     A_DEC,
+    A_DECK,
     A_INC,
+    A_INCK,
     A_STOP,
     AAnswer,
     AbsClo,
-    AnalysisStats,
-    NonComputableError,
+    AbsCo,
+    AbsCpsClo,
+    CpsAnalyzerMixin,
     WorkBudgetMixin,
     canonical_order,
-    check_loop_mode,
     closures_of_store,
     konts_of_store,
-    recursion_headroom,
 )
 from repro.analysis.polyvariant import (
     TOP_CONTEXT,
     Context,
     CtxVar,
     PolyClo,
-    PolyvariantResult,
     _clo_order,
-    _polyvariant_value,
+    _PolyvariantSkeleton,
     _truncate,
 )
 from repro.analysis.result import AnalysisResult
-from repro.anf.validate import validate_anf
-from repro.cps.transform import TOP_KVAR
-from repro.cps.validate import validate_cps
+from repro.analysis.semantic_cps import SemanticCpsAnalyzer
+from repro.analysis.syntactic_cps import (
+    SyntacticCpsAnalyzer,
+    _cps_initial_store,
+)
 from repro.cps.ast import CTerm
+from repro.cps.transform import TOP_KVAR
 from repro.domains.absval import AbsVal, Lattice
-from repro.domains.constprop import ConstPropDomain
 from repro.domains.protocol import NumDomain
 from repro.domains.store import AbsStore, SlotStore
 from repro.lang.ast import Term
+from repro.lang.syntax import free_variables
 from repro.machine.absplan import (
     OP_APP,
     OP_BIND,
@@ -93,6 +108,7 @@ from repro.obs.events import StoreWidened
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import Sink
 
+
 def _anf_plan_for(term: Term, plan_cache: PlanCache | None):
     """The `AnfPlan` for ``term``, through the cache when one is
     given."""
@@ -115,8 +131,6 @@ def _cps_plan_for(term: CTerm, plan_cache: PlanCache | None):
 
 
 def _materialize_anf(consts, lattice: Lattice) -> tuple:
-    from repro.analysis.common import A_DEC, A_INC, AbsClo
-
     out = []
     for desc in consts:
         kind = desc[0]
@@ -133,8 +147,6 @@ def _materialize_anf(consts, lattice: Lattice) -> tuple:
 
 
 def _materialize_cps(consts, lattice: Lattice) -> tuple:
-    from repro.analysis.common import A_DECK, A_INCK, AbsCo, AbsCpsClo
-
     out = []
     for desc in consts:
         kind = desc[0]
@@ -159,8 +171,6 @@ def _materialize_poly(consts, lattice: Lattice) -> tuple:
     """Polyvariant pool: numerals and primitives are plain values;
     lambdas stay descriptors ``(param, body, needed)`` because their
     captured environment is only known at closure-creation time."""
-    from repro.lang.syntax import free_variables
-
     out = []
     for desc in consts:
         kind = desc[0]
@@ -175,6 +185,25 @@ def _materialize_poly(consts, lattice: Lattice) -> tuple:
             needed = tuple(sorted(free_variables(lam.body) - {lam.param}))
             out.append((lam.param, lam.body, needed))
     return tuple(out)
+
+
+def _entry_lookup(table: Mapping, what: str, key=None):
+    """``table[key(obj)]`` for an abstract closure or continuation
+    ``obj``, probed by identity first: hashing one hashes its whole
+    body term.  An object missing from the table is a `TypeError`."""
+    by_id: dict[int, tuple] = {}
+
+    def entry_of(obj):
+        hit = by_id.get(id(obj))
+        if hit is not None and hit[0] is obj:
+            return hit[1]
+        entry = table.get(obj if key is None else key(obj))
+        if entry is None:
+            raise TypeError(f"unexpected abstract {what} {obj!r}")
+        by_id[id(obj)] = (obj, entry)
+        return entry
+
+    return entry_of
 
 
 # ----------------------------------------------------------------------
@@ -215,39 +244,71 @@ class _SlotEngine(WorkBudgetMixin):
                 )
         return after
 
-    def _slot_map(
-        self, slot_names, slot_of, initial_abs: AbsStore
-    ) -> tuple[tuple[str, ...], dict[str, int]]:
-        """Extend the compiled slot map with initial-store names the
-        program itself never mentions."""
+    def load_plan(
+        self, plan, src, initial_abs: AbsStore, materialize
+    ) -> None:
+        """Take the instruction arrays of ``src`` (``plan`` extended
+        with the initial store's closures) and the slot-addressed image
+        of ``initial_abs``; initial-store names the program itself never
+        mentions get slots past the compiled ones."""
+        self._code = src.code
+        self._terms = src.terms
+        self._entry_pc = plan.entry_pc
+        self._cvals = materialize(src.consts, self.lattice)
+        slot_of = src.slot_of
+        names = list(src.slot_names)
         missing = [
             name for name, _ in initial_abs.items() if name not in slot_of
         ]
         if missing:
             slot_of = dict(slot_of)
-            names = list(slot_names)
             for name in missing:
                 slot_of[name] = len(names)
                 names.append(name)
-            slot_names = tuple(names)
-        return tuple(slot_names), slot_of
-
-    def _initial_slot_store(
-        self, initial_abs: AbsStore, slot_names, slot_of
-    ) -> SlotStore:
-        lattice = self.lattice
-        vals = [lattice.bottom] * len(slot_names)
-        size = 0
+        self._slot_names = tuple(names)
+        vals = [self.lattice.bottom] * len(names)
         for name, value in initial_abs.items():
             vals[slot_of[name]] = value
-            size += 1
-        return SlotStore(lattice, tuple(vals), size)
+        self.initial_store = SlotStore(
+            self.lattice, tuple(vals), len(initial_abs)
+        )
 
-    def _answer_out(self, answer: AAnswer) -> AAnswer:
-        """Convert a slot-store answer back to the name-keyed form the
+    def _entry(self) -> AAnswer:
+        return self.eval(self._entry_pc, self.initial_store)
+
+    def _result(self, answer: AAnswer) -> AnalysisResult:
+        """Convert the slot-store answer back to the name-keyed form the
         rest of the repo (results, reports, serve) consumes."""
-        return AAnswer(
-            answer.value, answer.store.to_abs_store(self._slot_names)
+        return super()._result(
+            AAnswer(answer.value, answer.store.to_abs_store(self._slot_names))
+        )
+
+
+class _AnfPlanEngine(_SlotEngine):
+    """Set-up shared by the direct and semantic-CPS engines, which run
+    the same compiled `AnfPlan`."""
+
+    def load_anf_plan(
+        self,
+        term: Term,
+        initial: Mapping[str, AbsVal] | None,
+        plan_cache: PlanCache | None,
+    ) -> None:
+        """Compile (or fetch) the plan of ``term``, extended with the
+        closures of the initial store, and set ``(⊤, CL⊤)``."""
+        plan = _anf_plan_for(term, plan_cache)
+        initial_abs = AbsStore(self.lattice, initial)
+        store_clos = closures_of_store(initial_abs)
+        ext_closures = [
+            clo
+            for clo in store_clos
+            if isinstance(clo, AbsClo) and clo not in plan.entries
+        ]
+        src = extend_anf_plan(plan, ext_closures) if ext_closures else plan
+        self.load_plan(plan, src, initial_abs, _materialize_anf)
+        self._entry_of = _entry_lookup(src.entries, "closure")
+        self.top_value = AbsVal(
+            self.lattice.domain.top, plan.cl_top | store_clos
         )
 
 
@@ -256,7 +317,7 @@ class _SlotEngine(WorkBudgetMixin):
 # ----------------------------------------------------------------------
 
 
-class DirectPlanAnalyzer(_SlotEngine):
+class DirectPlanAnalyzer(_AnfPlanEngine):
     """The Figure 4 judgments, replayed over a compiled `AnfPlan`."""
 
     analyzer_name = "direct"
@@ -273,63 +334,8 @@ class DirectPlanAnalyzer(_SlotEngine):
         cache: bool = False,
         plan_cache: PlanCache | None = PLAN_CACHE,
     ) -> None:
-        if check:
-            validate_anf(term)
-        self.term = term
-        self.lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        self.stats = AnalysisStats()
-        self.max_visits = max_visits
-        self.init_obs(trace, metrics)
-        self.init_perf(cache)
-        plan = _anf_plan_for(term, plan_cache)
-        initial_abs = AbsStore(self.lattice, initial)
-        ext_closures = [
-            clo
-            for clo in closures_of_store(initial_abs)
-            if isinstance(clo, AbsClo) and clo not in plan.entries
-        ]
-        src = extend_anf_plan(plan, ext_closures) if ext_closures else plan
-        self._code = src.code
-        self._terms = src.terms
-        self._entries = src.entries
-        self._entry_pc = plan.entry_pc
-        self._slot_names, slot_of = self._slot_map(
-            src.slot_names, src.slot_of, initial_abs
-        )
-        self._cvals = _materialize_anf(src.consts, self.lattice)
-        self._entry_cache: dict[int, tuple] = {}
-        self.initial_store = self._initial_slot_store(
-            initial_abs, self._slot_names, slot_of
-        )
-        cl_top = plan.cl_top | closures_of_store(initial_abs)
-        self.top_value = AbsVal(self.lattice.domain.top, cl_top)
-        self._active: dict = {}
-        self._depth = 0
-
-    def run(self) -> AnalysisResult:
-        """Analyze the program and return the result."""
-        try:
-            with recursion_headroom():
-                answer = self.eval(self._entry_pc, self.initial_store)
-        finally:
-            self.finish_metrics()
-        return AnalysisResult(
-            self.analyzer_name,
-            self._answer_out(answer),
-            self.stats,
-            self.lattice,
-        )
-
-    def _entry_of(self, clo) -> tuple[int, int]:
-        cache = self._entry_cache
-        hit = cache.get(id(clo))
-        if hit is not None and hit[0] is clo:
-            return hit[1]
-        entry = self._entries.get(clo)
-        if entry is None:
-            raise TypeError(f"unexpected abstract closure {clo!r}")
-        cache[id(clo)] = (clo, entry)
-        return entry
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
+        self.load_anf_plan(term, initial, plan_cache)
 
     def eval(self, pc: int, store: SlotStore) -> AAnswer:
         if self._memo is None:
@@ -456,11 +462,7 @@ class DirectPlanAnalyzer(_SlotEngine):
             return AAnswer(self.lattice.bottom, store)
         then_answer = self.eval(instr[3], store)
         else_answer = self.eval(instr[4], store)
-        self.count_join("if0")
-        return AAnswer(
-            self.lattice.join(then_answer.value, else_answer.value),
-            then_answer.store.join(else_answer.store),
-        )
+        return self.join_answers(then_answer, else_answer, "if0")
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +470,7 @@ class DirectPlanAnalyzer(_SlotEngine):
 # ----------------------------------------------------------------------
 
 
-class SemanticCpsPlanAnalyzer(_SlotEngine):
+class SemanticCpsPlanAnalyzer(_AnfPlanEngine, CpsAnalyzerMixin):
     """The Figure 5 judgments over a compiled `AnfPlan`.
 
     Continuations are tuples of ``(dst_slot, next_pc)`` frames — the
@@ -476,6 +478,7 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
     """
 
     analyzer_name = "semantic-cps"
+    loop_reject_message = SemanticCpsAnalyzer.loop_reject_message
 
     def __init__(
         self,
@@ -491,65 +494,12 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
         cache: bool = False,
         plan_cache: PlanCache | None = PLAN_CACHE,
     ) -> None:
-        if check:
-            validate_anf(term)
-        self.term = term
-        self.lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        self.loop_mode = check_loop_mode(loop_mode)
-        self.unroll_bound = unroll_bound
-        self.stats = AnalysisStats()
-        self.max_visits = max_visits
-        self.init_obs(trace, metrics)
-        self.init_perf(cache)
-        plan = _anf_plan_for(term, plan_cache)
-        initial_abs = AbsStore(self.lattice, initial)
-        ext_closures = [
-            clo
-            for clo in closures_of_store(initial_abs)
-            if isinstance(clo, AbsClo) and clo not in plan.entries
-        ]
-        src = extend_anf_plan(plan, ext_closures) if ext_closures else plan
-        self._code = src.code
-        self._terms = src.terms
-        self._entries = src.entries
-        self._entry_pc = plan.entry_pc
-        self._slot_names, slot_of = self._slot_map(
-            src.slot_names, src.slot_of, initial_abs
-        )
-        self._cvals = _materialize_anf(src.consts, self.lattice)
-        self._entry_cache: dict[int, tuple] = {}
-        self.initial_store = self._initial_slot_store(
-            initial_abs, self._slot_names, slot_of
-        )
-        cl_top = plan.cl_top | closures_of_store(initial_abs)
-        self.top_value = AbsVal(self.lattice.domain.top, cl_top)
-        self._active: dict = {}
-        self._depth = 0
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
+        self.init_loop(loop_mode, unroll_bound)
+        self.load_anf_plan(term, initial, plan_cache)
 
-    def run(self) -> AnalysisResult:
-        """Analyze the program (under the empty continuation)."""
-        try:
-            with recursion_headroom():
-                answer = self.eval(self._entry_pc, (), self.initial_store)
-        finally:
-            self.finish_metrics()
-        return AnalysisResult(
-            self.analyzer_name,
-            self._answer_out(answer),
-            self.stats,
-            self.lattice,
-        )
-
-    def _entry_of(self, clo) -> tuple[int, int]:
-        cache = self._entry_cache
-        hit = cache.get(id(clo))
-        if hit is not None and hit[0] is clo:
-            return hit[1]
-        entry = self._entries.get(clo)
-        if entry is None:
-            raise TypeError(f"unexpected abstract closure {clo!r}")
-        cache[id(clo)] = (clo, entry)
-        return entry
+    def _entry(self) -> AAnswer:
+        return self.eval(self._entry_pc, (), self.initial_store)
 
     def eval(self, pc: int, kont: tuple, store: SlotStore) -> AAnswer:
         if self._memo is None:
@@ -658,7 +608,7 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
             answer = (
                 branch
                 if answer is None
-                else self._join(answer, branch, "apply")
+                else self.join_answers(answer, branch, "apply")
             )
         if answer is None:
             return AAnswer(self.lattice.bottom, store)
@@ -688,37 +638,7 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
             return AAnswer(self.lattice.bottom, store)
         then_answer = self.eval(instr[3], inner, store)
         else_answer = self.eval(instr[4], inner, store)
-        return self._join(then_answer, else_answer, "if0")
-
-    def _loop(self, kont: tuple, store: SlotStore) -> AAnswer:
-        lattice = self.lattice
-        domain = lattice.domain
-        if self.loop_mode == "reject":
-            raise NonComputableError(
-                "semantic-CPS analysis of `loop` requires the join of "
-                "appre(kont, (i, {})) over all naturals i, which is "
-                "undecidable (paper Section 6.2); re-run with "
-                "loop_mode='top' or loop_mode='unroll'"
-            )
-        if self.loop_mode == "top":
-            return self.ret(kont, lattice.of_num(domain.iota), store)
-        answer: AAnswer | None = None
-        for i in range(self.unroll_bound + 1):
-            branch = self.ret(kont, lattice.of_const(i), store)
-            answer = (
-                branch
-                if answer is None
-                else self._join(answer, branch, "loop")
-            )
-        assert answer is not None
-        return answer
-
-    def _join(self, a: AAnswer, b: AAnswer, site: str = "join") -> AAnswer:
-        self.count_join(site)
-        return AAnswer(
-            self.lattice.join(a.value, b.value),
-            a.store.join(b.store),
-        )
+        return self.join_answers(then_answer, else_answer, "if0")
 
 
 # ----------------------------------------------------------------------
@@ -726,10 +646,12 @@ class SemanticCpsPlanAnalyzer(_SlotEngine):
 # ----------------------------------------------------------------------
 
 
-class SyntacticCpsPlanAnalyzer(_SlotEngine):
+class SyntacticCpsPlanAnalyzer(_SlotEngine, CpsAnalyzerMixin):
     """The Figure 6 judgments over a compiled `CpsPlan`."""
 
     analyzer_name = "syntactic-cps"
+    loop_reject_message = SyntacticCpsAnalyzer.loop_reject_message
+    check_term = SyntacticCpsAnalyzer.check_term
 
     def __init__(
         self,
@@ -746,23 +668,11 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
         cache: bool = False,
         plan_cache: PlanCache | None = PLAN_CACHE,
     ) -> None:
-        from repro.analysis.common import AbsCo, AbsCpsClo
-
-        if check:
-            validate_cps(term, frozenset((top_kvar,)))
-        self.term = term
-        self.lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        self.loop_mode = check_loop_mode(loop_mode)
-        self.unroll_bound = unroll_bound
-        self.stats = AnalysisStats()
-        self.max_visits = max_visits
-        self.init_obs(trace, metrics)
-        self.init_perf(cache)
+        self._top_kvar = top_kvar
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
+        self.init_loop(loop_mode, unroll_bound)
         plan = _cps_plan_for(term, plan_cache)
-        table = dict(initial) if initial else {}
-        if top_kvar not in table:
-            table[top_kvar] = self.lattice.of_konts(A_STOP)
-        initial_abs = AbsStore(self.lattice, table)
+        initial_abs = _cps_initial_store(self.lattice, initial, top_kvar)
         store_clos = closures_of_store(initial_abs)
         store_konts = konts_of_store(initial_abs)
         ext_closures = [
@@ -780,61 +690,14 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
             if ext_closures or ext_konts
             else plan
         )
-        self._code = src.code
-        self._terms = src.terms
-        self._cps_entries = src.cps_entries
-        self._kont_entries = src.kont_entries
-        self._entry_pc = plan.entry_pc
-        self._slot_names, slot_of = self._slot_map(
-            src.slot_names, src.slot_of, initial_abs
+        self.load_plan(plan, src, initial_abs, _materialize_cps)
+        self._entry_of = _entry_lookup(src.cps_entries, "closure")
+        self._kont_entry_of = _entry_lookup(src.kont_entries, "continuation")
+        self.top_value = AbsVal(
+            self.lattice.domain.top,
+            plan.cl_top | store_clos,
+            plan.k_top | store_konts,
         )
-        self._cvals = _materialize_cps(src.consts, self.lattice)
-        self._entry_cache: dict[int, tuple] = {}
-        self._kont_cache: dict[int, tuple] = {}
-        self.initial_store = self._initial_slot_store(
-            initial_abs, self._slot_names, slot_of
-        )
-        cl_top = plan.cl_top | store_clos
-        k_top = plan.k_top | store_konts
-        self.top_value = AbsVal(self.lattice.domain.top, cl_top, k_top)
-        self._active: dict = {}
-        self._depth = 0
-
-    def run(self) -> AnalysisResult:
-        """Analyze the program and return the result."""
-        try:
-            with recursion_headroom():
-                answer = self.eval(self._entry_pc, self.initial_store)
-        finally:
-            self.finish_metrics()
-        return AnalysisResult(
-            self.analyzer_name,
-            self._answer_out(answer),
-            self.stats,
-            self.lattice,
-        )
-
-    def _entry_of(self, clo) -> tuple[int, int, int]:
-        cache = self._entry_cache
-        hit = cache.get(id(clo))
-        if hit is not None and hit[0] is clo:
-            return hit[1]
-        entry = self._cps_entries.get(clo)
-        if entry is None:
-            raise TypeError(f"unexpected abstract closure {clo!r}")
-        cache[id(clo)] = (clo, entry)
-        return entry
-
-    def _kont_entry_of(self, kont) -> tuple[int, int]:
-        cache = self._kont_cache
-        hit = cache.get(id(kont))
-        if hit is not None and hit[0] is kont:
-            return hit[1]
-        entry = self._kont_entries.get(kont)
-        if entry is None:
-            raise TypeError(f"unexpected abstract continuation {kont!r}")
-        cache[id(kont)] = (kont, entry)
-        return entry
 
     def eval(self, pc: int, store: SlotStore) -> AAnswer:
         if self._memo is None:
@@ -911,8 +774,6 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
     def apply(
         self, fun: AbsVal, arg: AbsVal, kont_val: AbsVal, store: SlotStore
     ) -> AAnswer:
-        from repro.analysis.common import A_DECK, A_INCK
-
         lattice = self.lattice
         domain = lattice.domain
         answer: AAnswer | None = None
@@ -936,7 +797,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
             answer = (
                 branch
                 if answer is None
-                else self._join(answer, branch, "apply")
+                else self.join_answers(answer, branch, "apply")
             )
         if answer is None:
             return AAnswer(self.lattice.bottom, store)
@@ -958,7 +819,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
             answer = (
                 branch
                 if answer is None
-                else self._join(answer, branch, "return")
+                else self.join_answers(answer, branch, "return")
             )
         if answer is None:
             return AAnswer(self.lattice.bottom, store)
@@ -979,37 +840,7 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
             return AAnswer(self.lattice.bottom, store)
         then_answer = self.eval(instr[4], bound)
         else_answer = self.eval(instr[5], bound)
-        return self._join(then_answer, else_answer, "if0")
-
-    def _loop(self, kont_val: AbsVal, store: SlotStore) -> AAnswer:
-        lattice = self.lattice
-        domain = lattice.domain
-        if self.loop_mode == "reject":
-            raise NonComputableError(
-                "syntactic-CPS analysis of `loop` requires the join of "
-                "the continuation applied to every natural, which is "
-                "undecidable (paper Section 6.2); re-run with "
-                "loop_mode='top' or loop_mode='unroll'"
-            )
-        if self.loop_mode == "top":
-            return self.ret(kont_val, lattice.of_num(domain.iota), store)
-        answer: AAnswer | None = None
-        for i in range(self.unroll_bound + 1):
-            branch = self.ret(kont_val, lattice.of_const(i), store)
-            answer = (
-                branch
-                if answer is None
-                else self._join(answer, branch, "loop")
-            )
-        assert answer is not None
-        return answer
-
-    def _join(self, a: AAnswer, b: AAnswer, site: str = "join") -> AAnswer:
-        self.count_join(site)
-        return AAnswer(
-            self.lattice.join(a.value, b.value),
-            a.store.join(b.store),
-        )
+        return self.join_answers(then_answer, else_answer, "if0")
 
 
 # ----------------------------------------------------------------------
@@ -1017,15 +848,13 @@ class SyntacticCpsPlanAnalyzer(_SlotEngine):
 # ----------------------------------------------------------------------
 
 
-class PolyvariantPlanAnalyzer(WorkBudgetMixin):
+class PolyvariantPlanAnalyzer(_PolyvariantSkeleton):
     """The k-CFA judgments over a compiled `AnfPlan`.
 
     The store stays the `(variable, context)`-keyed `AbsStore` (the
     location space is not dense), but dispatch runs over the flat
     instruction array with precomputed free-variable captures.
     """
-
-    analyzer_name = "direct-kcfa"
 
     def __init__(
         self,
@@ -1040,28 +869,13 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         cache: bool = False,
         plan_cache: PlanCache | None = PLAN_CACHE,
     ) -> None:
-        if check:
-            validate_anf(term)
-        if k < 0:
-            raise ValueError("context length k must be >= 0")
-        self.term = term
-        self.k = k
-        self.lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        self.stats = AnalysisStats()
-        self.max_visits = max_visits
-        self.init_obs(trace, metrics)
-        self.init_perf(cache)
-        plan = _anf_plan_for(term, plan_cache)
-        table: dict[Hashable, AbsVal] = {}
-        initial = dict(initial) if initial else {}
-        for name, value in initial.items():
-            table[CtxVar(name, TOP_CONTEXT)] = _polyvariant_value(value)
-        self.initial_store = AbsStore(
-            self.lattice, table  # type: ignore[arg-type]
+        self.setup_polyvariant(
+            term, domain, k, initial, check, max_visits, trace, metrics, cache
         )
+        plan = _anf_plan_for(term, plan_cache)
         ext_closures = [
             AbsClo(clo.param, clo.body)
-            for value in table.values()
+            for _, value in self.initial_store.items()
             for clo in value.clos
             if isinstance(clo, PolyClo)
             and AbsClo(clo.param, clo.body) not in plan.entries
@@ -1073,48 +887,20 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         self._slot_names = src.slot_names
         self._free_names = plan.free_names
         self._cvals = _materialize_poly(src.consts, self.lattice)
-        self._body_pc = {
+        body_pcs = {
             (clo.param, clo.body): entry[1]
             for clo, entry in src.entries.items()
         }
-        self._entry_cache: dict[int, tuple] = {}
-        cl_top: set[Hashable] = set()
-        for clo in plan.cl_top:
-            cl_top.add(
-                PolyClo(clo.param, clo.body)
-                if isinstance(clo, AbsClo)
-                else clo
-            )
-        for value in table.values():
-            cl_top |= value.clos
-        self.top_value = AbsVal(self.lattice.domain.top, frozenset(cl_top))
-        self._active: dict = {}
-        self._depth = 0
+        self._entry_of = _entry_lookup(
+            body_pcs, "closure", lambda clo: (clo.param, clo.body)
+        )
+        self.set_top(plan.cl_top)
 
-    def run(self) -> PolyvariantResult:
-        """Analyze the program and return the polyvariant result."""
-        try:
-            with recursion_headroom():
-                env: dict[str, Context] = {
-                    name: TOP_CONTEXT for name in self._free_names
-                }
-                value, store = self.eval(
-                    self._entry_pc, env, TOP_CONTEXT, self.initial_store
-                )
-        finally:
-            self.finish_metrics()
-        return PolyvariantResult(self, value, store)
-
-    def _lookup(
-        self, name: str, ctx: Context | None, store: AbsStore
-    ) -> AbsVal:
-        if ctx is not None:
-            return store.get(CtxVar(name, ctx))  # type: ignore[arg-type]
-        value = self.lattice.bottom
-        for key, entry in store.items():
-            if isinstance(key, CtxVar) and key.name == name:
-                value = self.lattice.join(value, entry)
-        return value
+    def _entry(self) -> AAnswer:
+        env: dict[str, Context] = {
+            name: TOP_CONTEXT for name in self._free_names
+        }
+        return self.eval(self._entry_pc, env, TOP_CONTEXT, self.initial_store)
 
     def _value_ref(
         self, ref: int, env: Mapping[str, Context], store: AbsStore
@@ -1134,24 +920,13 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         captured = tuple((n, env[n]) for n in needed if n in env)
         return self.lattice.of_clos(PolyClo(param, body, captured))
 
-    def _entry_of(self, clo: PolyClo) -> int:
-        cache = self._entry_cache
-        hit = cache.get(id(clo))
-        if hit is not None and hit[0] is clo:
-            return hit[1]
-        body_pc = self._body_pc.get((clo.param, clo.body))
-        if body_pc is None:
-            raise TypeError(f"unexpected abstract closure {clo!r}")
-        cache[id(clo)] = (clo, body_pc)
-        return body_pc
-
     def eval(
         self,
         pc: int,
         env: Mapping[str, Context],
         ctx: Context,
         store: AbsStore,
-    ) -> tuple[AbsVal, AbsStore]:
+    ) -> AAnswer:
         if self._memo is None:
             return self._eval(pc, env, ctx, store)
         memo_key = (pc, frozenset(env.items()), ctx, store)
@@ -1174,7 +949,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         env: Mapping[str, Context],
         ctx: Context,
         store: AbsStore,
-    ) -> tuple[AbsVal, AbsStore]:
+    ) -> AAnswer:
         registered: list = []
         memo = self._memo
         code = self._code
@@ -1190,12 +965,14 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
                 op = instr[0]
                 self.tick(terms[pc])
                 if op == OP_TAIL:
-                    return self._value_ref(instr[1], env, store), store
+                    return AAnswer(
+                        self._value_ref(instr[1], env, store), store
+                    )
                 key = (pc, frozenset(env.items()), ctx, store)
                 owner = self._active.get(key)
                 if owner is not None:
                     self.note_loop_cut(owner, terms[pc])
-                    return self.top_value, store
+                    return AAnswer(self.top_value, store)
                 if memo is not None:
                     hit = self.memo_probe(key, key, terms[pc])
                     if hit is not None:
@@ -1207,12 +984,14 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
                 elif op == OP_APP:
                     fun = self._value_ref(instr[2], env, store)
                     arg = self._value_ref(instr[3], env, store)
-                    result, store = self.apply(
+                    answer = self.apply(
                         slot_names[instr[1]], fun, arg, ctx, store
                     )
+                    result, store = answer.value, answer.store
                     next_pc = instr[4]
                 elif op == OP_IF:
-                    result, store = self._branch(instr, env, ctx, store)
+                    answer = self._branch(instr, env, ctx, store)
+                    result, store = answer.value, answer.store
                     next_pc = instr[5]
                 elif op == OP_PRIM:
                     lattice = self.lattice
@@ -1242,7 +1021,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         arg: AbsVal,
         ctx: Context,
         store: AbsStore,
-    ) -> tuple[AbsVal, AbsStore]:
+    ) -> AAnswer:
         lattice = self.lattice
         domain = lattice.domain
         value = lattice.bottom
@@ -1263,9 +1042,8 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
                 )
                 callee_env = dict(clo.env)
                 callee_env[clo.param] = callee_ctx
-                branch_value, branch_store = self.eval(
-                    body_pc, callee_env, callee_ctx, entry
-                )
+                answer = self.eval(body_pc, callee_env, callee_ctx, entry)
+                branch_value, branch_store = answer.value, answer.store
             else:
                 raise TypeError(f"unexpected abstract closure {clo!r}")
             seen += 1
@@ -1273,7 +1051,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
                 self.count_join("apply")
             value = lattice.join(value, branch_value)
             out_store = out_store.join(branch_store)
-        return value, out_store
+        return AAnswer(value, out_store)
 
     def _branch(
         self,
@@ -1281,7 +1059,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         env: Mapping[str, Context],
         ctx: Context,
         store: AbsStore,
-    ) -> tuple[AbsVal, AbsStore]:
+    ) -> AAnswer:
         test = self._value_ref(instr[2], env, store)
         domain = self.lattice.domain
         zero = domain.may_be_zero(test.num)
@@ -1291,11 +1069,7 @@ class PolyvariantPlanAnalyzer(WorkBudgetMixin):
         if nonzero and not zero:
             return self.eval(instr[4], env, ctx, store)
         if not zero and not nonzero:
-            return self.lattice.bottom, store
-        then_value, then_store = self.eval(instr[3], env, ctx, store)
-        else_value, else_store = self.eval(instr[4], env, ctx, store)
-        self.count_join("if0")
-        return (
-            self.lattice.join(then_value, else_value),
-            then_store.join(else_store),
-        )
+            return AAnswer(self.lattice.bottom, store)
+        then_answer = self.eval(instr[3], env, ctx, store)
+        else_answer = self.eval(instr[4], env, ctx, store)
+        return self.join_answers(then_answer, else_answer, "if0")

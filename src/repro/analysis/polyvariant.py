@@ -43,17 +43,16 @@ from typing import Hashable, Mapping
 from repro.analysis.common import (
     A_DEC,
     A_INC,
+    AAnswer,
     AbsClo,
-    AnalysisStats,
     WorkBudgetMixin,
     canonical_order,
-    recursion_headroom,
+    closures_of_store,
+    closures_of_term,
 )
 from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
-from repro.anf.validate import validate_anf
-from repro.domains.absval import AbsVal, Lattice
-from repro.domains.constprop import ConstPropDomain
+from repro.domains.absval import AbsVal
 from repro.domains.protocol import NumDomain
 from repro.domains.store import AbsStore
 from repro.lang.ast import (
@@ -69,7 +68,7 @@ from repro.lang.ast import (
     Var,
     is_value,
 )
-from repro.lang.syntax import free_variables, subterms
+from repro.lang.syntax import free_variables
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import Sink
 
@@ -127,10 +126,66 @@ def _truncate(ctx: Context, k: int) -> Context:
     return ctx[-k:] if k else TOP_CONTEXT
 
 
-class PolyvariantDirectAnalyzer(WorkBudgetMixin):
-    """Figure 4 with call-string polyvariance."""
+class _PolyvariantSkeleton(WorkBudgetMixin):
+    """What the k-CFA tree analyzer and its plan engine share: the
+    ``k`` check, the context-keyed initial store and ``(⊤, CL⊤)``,
+    the context-sensitive variable read, and the result."""
 
     analyzer_name = "direct-kcfa"
+
+    def setup_polyvariant(
+        self,
+        term,
+        domain: NumDomain | None,
+        k: int,
+        initial: Mapping[str, AbsVal] | None,
+        check: bool,
+        max_visits: int | None,
+        trace: Sink | None,
+        metrics: Metrics | None,
+        cache: bool,
+    ) -> None:
+        """The constructor preamble: `WorkBudgetMixin.setup`, then the
+        initial store at the top context."""
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
+        if k < 0:
+            raise ValueError("context length k must be >= 0")
+        self.k = k
+        table: dict[Hashable, AbsVal] = {
+            CtxVar(name, TOP_CONTEXT): _polyvariant_value(value)
+            for name, value in (initial or {}).items()
+        }
+        self.initial_store = AbsStore(
+            self.lattice, table  # type: ignore[arg-type]
+        )
+
+    def set_top(self, closures: frozenset) -> None:
+        """``(⊤, CL⊤)`` from the program's monovariant closures and the
+        initial store's."""
+        top = _polyvariant_value(AbsVal(self.lattice.domain.top, closures))
+        self.top_value = AbsVal(
+            top.num, top.clos | closures_of_store(self.initial_store)
+        )
+
+    def _lookup(
+        self, name: str, ctx: Context | None, store: AbsStore
+    ) -> AbsVal:
+        """Read a variable: at its binding context when known, else the
+        join over every context (the sound fallback)."""
+        if ctx is not None:
+            return store.get(CtxVar(name, ctx))  # type: ignore[arg-type]
+        value = self.lattice.bottom
+        for key, entry in store.items():
+            if isinstance(key, CtxVar) and key.name == name:
+                value = self.lattice.join(value, entry)
+        return value
+
+    def _result(self, answer: AAnswer) -> "PolyvariantResult":
+        return PolyvariantResult(self, answer.value, answer.store)
+
+
+class PolyvariantDirectAnalyzer(_PolyvariantSkeleton):
+    """Figure 4 with call-string polyvariance."""
 
     def __init__(
         self,
@@ -159,53 +214,16 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
             cache: turn the eval memo on; results are identical
                 either way, only visit counts and wall time change.
         """
-        if check:
-            validate_anf(term)
-        if k < 0:
-            raise ValueError("context length k must be >= 0")
-        self.term = term
-        self.k = k
-        self.lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        self.stats = AnalysisStats()
-        self.max_visits = max_visits
-        self.init_obs(trace, metrics)
-        self.init_perf(cache)
-        table: dict[Hashable, AbsVal] = {}
-        initial = dict(initial) if initial else {}
-        for name, value in initial.items():
-            table[CtxVar(name, TOP_CONTEXT)] = _polyvariant_value(value)
-        self.initial_store = AbsStore(
-            self.lattice, table  # type: ignore[arg-type]
+        self.setup_polyvariant(
+            term, domain, k, initial, check, max_visits, trace, metrics, cache
         )
-        cl_top: set[Hashable] = set()
-        for sub in subterms(term):
-            if isinstance(sub, Lam):
-                cl_top.add(PolyClo(sub.param, sub.body))
-            elif isinstance(sub, Prim):
-                cl_top.add(A_INC if sub.name == "add1" else A_DEC)
-        for value in table.values():
-            cl_top |= value.clos
-        self.top_value = AbsVal(self.lattice.domain.top, frozenset(cl_top))
-        self._active: dict = {}
-        self._depth = 0
+        self.set_top(closures_of_term(term))
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
-    def run(self) -> "PolyvariantResult":
-        """Analyze the program and return the polyvariant result."""
-        try:
-            with recursion_headroom():
-                env: dict[str, Context] = {
-                    name: TOP_CONTEXT for name in free_variables(self.term)
-                }
-                value, store = self.eval(
-                    self.term, env, TOP_CONTEXT, self.initial_store
-                )
-        finally:
-            self.finish_metrics()
-        return PolyvariantResult(self, value, store)
+    def _entry(self) -> AAnswer:
+        env: dict[str, Context] = {
+            name: TOP_CONTEXT for name in free_variables(self.term)
+        }
+        return self.eval(self.term, env, TOP_CONTEXT, self.initial_store)
 
     # ------------------------------------------------------------------
     # Abstract values
@@ -238,19 +256,6 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
                 return lattice.of_clos(PolyClo(param, body, captured))
         raise TypeError(f"not a syntactic value: {value!r}")
 
-    def _lookup(
-        self, name: str, ctx: Context | None, store: AbsStore
-    ) -> AbsVal:
-        """Read a variable: at its binding context when known, else the
-        join over every context (the sound fallback)."""
-        if ctx is not None:
-            return store.get(CtxVar(name, ctx))  # type: ignore[arg-type]
-        value = self.lattice.bottom
-        for key, entry in store.items():
-            if isinstance(key, CtxVar) and key.name == name:
-                value = self.lattice.join(value, entry)
-        return value
-
     # ------------------------------------------------------------------
     # The analyzer
     # ------------------------------------------------------------------
@@ -261,7 +266,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
         env: Mapping[str, Context],
         ctx: Context,
         store: AbsStore,
-    ) -> tuple[AbsVal, AbsStore]:
+    ) -> AAnswer:
         """Analyze ``term`` under binding environment ``env`` in
         context ``ctx``.
 
@@ -291,7 +296,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
         env: Mapping[str, Context],
         ctx: Context,
         store: AbsStore,
-    ) -> tuple[AbsVal, AbsStore]:
+    ) -> AAnswer:
         """The polyvariant Figure 4 clauses proper."""
         registered: list = []
         memo = self._memo
@@ -302,7 +307,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
             while True:
                 self.tick(term)
                 if is_value(term):
-                    return self.eval_value(term, env, store), store
+                    return AAnswer(self.eval_value(term, env, store), store)
                 if not isinstance(term, Let):
                     raise TypeError(
                         f"term is not in the restricted subset: {term!r}"
@@ -311,7 +316,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
                 owner = self._active.get(key)
                 if owner is not None:
                     self.note_loop_cut(owner, term)
-                    return self.top_value, store
+                    return AAnswer(self.top_value, store)
                 if memo is not None:
                     hit = self.memo_probe(key, key, term)
                     if hit is not None:
@@ -324,9 +329,11 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
                 elif isinstance(rhs, App):
                     fun = self.eval_value(rhs.fun, env, store)
                     arg = self.eval_value(rhs.arg, env, store)
-                    result, store = self.apply(name, fun, arg, ctx, store)
+                    answer = self.apply(name, fun, arg, ctx, store)
+                    result, store = answer.value, answer.store
                 elif isinstance(rhs, If0):
-                    result, store = self._branch(rhs, env, ctx, store)
+                    answer = self._branch(rhs, env, ctx, store)
+                    result, store = answer.value, answer.store
                 elif isinstance(rhs, PrimApp):
                     nums = [
                         self.eval_value(a, env, store).num for a in rhs.args
@@ -352,7 +359,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
         arg: AbsVal,
         ctx: Context,
         store: AbsStore,
-    ) -> tuple[AbsVal, AbsStore]:
+    ) -> AAnswer:
         """Apply every abstract closure; user closures run in the
         context extended with this call site."""
         lattice = self.lattice
@@ -379,9 +386,8 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
                         if known is not None:
                             callee_env[free] = known
                 callee_env[clo.param] = callee_ctx
-                branch_value, branch_store = self.eval(
-                    clo.body, callee_env, callee_ctx, entry
-                )
+                answer = self.eval(clo.body, callee_env, callee_ctx, entry)
+                branch_value, branch_store = answer.value, answer.store
             else:
                 raise TypeError(f"unexpected abstract closure {clo!r}")
             seen += 1
@@ -389,7 +395,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
                 self.count_join("apply")
             value = lattice.join(value, branch_value)
             out_store = out_store.join(branch_store)
-        return value, out_store
+        return AAnswer(value, out_store)
 
     def _branch(
         self,
@@ -397,7 +403,7 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
         env: Mapping[str, Context],
         ctx: Context,
         store: AbsStore,
-    ) -> tuple[AbsVal, AbsStore]:
+    ) -> AAnswer:
         test = self.eval_value(rhs.test, env, store)
         domain = self.lattice.domain
         zero = domain.may_be_zero(test.num)
@@ -407,14 +413,10 @@ class PolyvariantDirectAnalyzer(WorkBudgetMixin):
         if nonzero and not zero:
             return self.eval(rhs.orelse, env, ctx, store)
         if not zero and not nonzero:
-            return self.lattice.bottom, store
-        then_value, then_store = self.eval(rhs.then, env, ctx, store)
-        else_value, else_store = self.eval(rhs.orelse, env, ctx, store)
-        self.count_join("if0")
-        return (
-            self.lattice.join(then_value, else_value),
-            then_store.join(else_store),
-        )
+            return AAnswer(self.lattice.bottom, store)
+        then_answer = self.eval(rhs.then, env, ctx, store)
+        else_answer = self.eval(rhs.orelse, env, ctx, store)
+        return self.join_answers(then_answer, else_answer, "if0")
 
 
 def _polyvariant_value(value: AbsVal) -> AbsVal:
@@ -483,8 +485,6 @@ class PolyvariantResult:
         """A monovariant `AnalysisResult` view (join over contexts),
         directly comparable with :func:`repro.analysis.analyze_direct`
         output."""
-        from repro.analysis.common import AAnswer
-
         table: dict[str, AbsVal] = {}
         for key, entry in self._store.items():
             if not isinstance(key, CtxVar):

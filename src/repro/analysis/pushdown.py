@@ -74,17 +74,13 @@ from repro.analysis.common import (
     A_INC,
     AAnswer,
     AbsClo,
-    AnalysisStats,
     WorkBudgetMixin,
     abstract_value,
     canonical_order,
-    recursion_headroom,
 )
 from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
-from repro.anf.validate import validate_anf
-from repro.domains.absval import AbsVal, Lattice
-from repro.domains.constprop import ConstPropDomain
+from repro.domains.absval import AbsVal
 from repro.domains.protocol import NumDomain
 from repro.domains.store import AbsStore
 from repro.lang.ast import (
@@ -136,17 +132,10 @@ class PushdownAnalyzer(WorkBudgetMixin):
         ``widen_depth`` is the per-closure activation budget before
         argument widening (see the module docstring).
         """
-        if check:
-            validate_anf(term)
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
         if widen_depth < 1:
             raise ValueError(f"widen_depth must be positive: {widen_depth}")
-        self.term = term
-        self.lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        self.stats = AnalysisStats()
-        self.max_visits = max_visits
         self.widen_depth = widen_depth
-        self.init_obs(trace, metrics)
-        self.init_perf(cache)
         self.initial_store = AbsStore(self.lattice, initial)
         #: Completed entry/exit summaries: key -> exit answer.
         self._summaries: dict[tuple, AAnswer] = {}
@@ -159,22 +148,9 @@ class PushdownAnalyzer(WorkBudgetMixin):
         #: Arguments of the in-flight activations, per closure — the
         #: widening stack.
         self._active_args: dict[AbsClo, list[AbsVal]] = {}
-        self._depth = 0
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-
-    def run(self) -> AnalysisResult:
-        """Analyze the program and return the result."""
-        try:
-            with recursion_headroom():
-                answer = self.eval(self.term, self.initial_store, {})
-        finally:
-            self.finish_metrics()
-        return AnalysisResult(
-            self.analyzer_name, answer, self.stats, self.lattice
-        )
+    def _entry(self) -> AAnswer:
+        return self.eval(self.term, self.initial_store, {})
 
     # ------------------------------------------------------------------
     # phi_e, frame-first
@@ -377,11 +353,7 @@ class PushdownAnalyzer(WorkBudgetMixin):
             return AAnswer(self.lattice.bottom, store)
         then_answer = self.eval(rhs.then, store, dict(frame))
         else_answer = self.eval(rhs.orelse, store, dict(frame))
-        self.count_join("if0")
-        return AAnswer(
-            self.lattice.join(then_answer.value, else_answer.value),
-            then_answer.store.join(else_answer.store),
-        )
+        return self.join_answers(then_answer, else_answer, "if0")
 
     def _primop(self, rhs: PrimApp, store: AbsStore, frame: Frame) -> AbsVal:
         """Abstract a second-class operator application."""

@@ -8,10 +8,12 @@ constants, closure sets, reachability, and the call-graph hook used by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator
+from typing import TYPE_CHECKING, Hashable, Iterator
 
-from repro.analysis.common import AAnswer, AnalysisStats
 from repro.domains.absval import AbsVal, Lattice
+
+if TYPE_CHECKING:
+    from repro.analysis.common import AAnswer, AnalysisStats
 
 
 @dataclass(frozen=True)

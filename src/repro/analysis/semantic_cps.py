@@ -34,21 +34,15 @@ from repro.analysis.common import (
     AbsClo,
     AFrame,
     AKont,
-    AnalysisStats,
-    NonComputableError,
-    WorkBudgetMixin,
+    CpsAnalyzerMixin,
     abstract_value,
     canonical_order,
-    check_loop_mode,
     closures_of_store,
     closures_of_term,
-    recursion_headroom,
 )
 from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
-from repro.anf.validate import validate_anf
-from repro.domains.absval import AbsVal, Lattice
-from repro.domains.constprop import ConstPropDomain
+from repro.domains.absval import AbsVal
 from repro.domains.protocol import NumDomain
 from repro.domains.store import AbsStore
 from repro.lang.ast import App, If0, Let, Loop, PrimApp, Term, is_value
@@ -56,10 +50,16 @@ from repro.obs.metrics import Metrics
 from repro.obs.sinks import Sink
 
 
-class SemanticCpsAnalyzer(WorkBudgetMixin):
+class SemanticCpsAnalyzer(CpsAnalyzerMixin):
     """Figure 5, with Section 4.4 loop detection."""
 
     analyzer_name = "semantic-cps"
+    loop_reject_message = (
+        "semantic-CPS analysis of `loop` requires the join of "
+        "appre(kont, (i, {})) over all naturals i, which is "
+        "undecidable (paper Section 6.2); re-run with "
+        "loop_mode='top' or loop_mode='unroll'"
+    )
 
     def __init__(
         self,
@@ -98,20 +98,10 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
             cache: turn the eval memo on; results are identical
                 either way, only visit counts and wall time change.
         """
-        if check:
-            validate_anf(term)
-        self.term = term
-        self.lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        self.loop_mode = check_loop_mode(loop_mode)
-        self.unroll_bound = unroll_bound
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
+        self.init_loop(loop_mode, unroll_bound)
         self.cut_values = cut_values
-        self.stats = AnalysisStats()
-        self.max_visits = max_visits
-        self.init_obs(trace, metrics)
-        self.init_perf(cache)
         self.initial_store = AbsStore(self.lattice, initial)
-        self._active: dict[tuple[int, AbsStore], int] = {}
-        self._depth = 0
 
     @cached_property
     def top_value(self) -> AbsVal:
@@ -124,14 +114,10 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
 
     def run(self, kont: AKont = ()) -> AnalysisResult:
         """Analyze the program under continuation ``kont`` (default nil)."""
-        try:
-            with recursion_headroom():
-                answer = self.eval(self.term, kont, self.initial_store)
-        finally:
-            self.finish_metrics()
-        return AnalysisResult(
-            self.analyzer_name, answer, self.stats, self.lattice
-        )
+        return super().run(kont)
+
+    def _entry(self, kont: AKont) -> AAnswer:
+        return self.eval(self.term, kont, self.initial_store)
 
     # ------------------------------------------------------------------
     # phi_e (shared shape with the direct analyzer)
@@ -269,7 +255,7 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
             answer = (
                 branch
                 if answer is None
-                else self._join(answer, branch, "apply")
+                else self.join_answers(answer, branch, "apply")
             )
         if answer is None:
             return AAnswer(self.lattice.bottom, store)
@@ -294,7 +280,7 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
         )
 
     # ------------------------------------------------------------------
-    # Conditionals and loops
+    # Conditionals (``loop`` is `CpsAnalyzerMixin._loop`)
     # ------------------------------------------------------------------
 
     def _branch(
@@ -316,39 +302,7 @@ class SemanticCpsAnalyzer(WorkBudgetMixin):
             return AAnswer(self.lattice.bottom, store)
         then_answer = self.eval(rhs.then, inner, store)
         else_answer = self.eval(rhs.orelse, inner, store)
-        return self._join(then_answer, else_answer, "if0")
-
-    def _loop(self, kont: AKont, store: AbsStore) -> AAnswer:
-        """Section 6.2: ``loop`` passes every natural number to the
-        continuation; the exact join is not computable."""
-        lattice = self.lattice
-        domain = lattice.domain
-        if self.loop_mode == "reject":
-            raise NonComputableError(
-                "semantic-CPS analysis of `loop` requires the join of "
-                "appre(kont, (i, {})) over all naturals i, which is "
-                "undecidable (paper Section 6.2); re-run with "
-                "loop_mode='top' or loop_mode='unroll'"
-            )
-        if self.loop_mode == "top":
-            return self.ret(kont, lattice.of_num(domain.iota), store)
-        answer: AAnswer | None = None
-        for i in range(self.unroll_bound + 1):
-            branch = self.ret(kont, lattice.of_const(i), store)
-            answer = (
-                branch
-                if answer is None
-                else self._join(answer, branch, "loop")
-            )
-        assert answer is not None
-        return answer
-
-    def _join(self, a: AAnswer, b: AAnswer, site: str = "join") -> AAnswer:
-        self.count_join(site)
-        return AAnswer(
-            self.lattice.join(a.value, b.value),
-            a.store.join(b.store),
-        )
+        return self.join_answers(then_answer, else_answer, "if0")
 
 
 def analyze_semantic_cps(

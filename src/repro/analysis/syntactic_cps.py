@@ -29,15 +29,11 @@ from repro.analysis.common import (
     AAnswer,
     AbsCo,
     AbsCpsClo,
-    AnalysisStats,
-    NonComputableError,
-    WorkBudgetMixin,
+    CpsAnalyzerMixin,
     canonical_order,
-    check_loop_mode,
     closures_of_store,
     cps_tops_of_term,
     konts_of_store,
-    recursion_headroom,
 )
 from repro.analysis.registry import analyzer_class
 from repro.analysis.result import AnalysisResult
@@ -58,17 +54,22 @@ from repro.cps.ast import (
 from repro.cps.transform import TOP_KVAR
 from repro.cps.validate import validate_cps
 from repro.domains.absval import AbsVal, Lattice
-from repro.domains.constprop import ConstPropDomain
 from repro.domains.protocol import NumDomain
 from repro.domains.store import AbsStore
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import Sink
 
 
-class SyntacticCpsAnalyzer(WorkBudgetMixin):
+class SyntacticCpsAnalyzer(CpsAnalyzerMixin):
     """Figure 6, with Section 4.4 loop detection."""
 
     analyzer_name = "syntactic-cps"
+    loop_reject_message = (
+        "syntactic-CPS analysis of `loop` requires the join of "
+        "the continuation applied to every natural, which is "
+        "undecidable (paper Section 6.2); re-run with "
+        "loop_mode='top' or loop_mode='unroll'"
+    )
 
     def __init__(
         self,
@@ -104,22 +105,16 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
             cache: turn the eval memo on; results are identical
                 either way, only visit counts and wall time change.
         """
-        if check:
-            validate_cps(term, frozenset((top_kvar,)))
-        self.term = term
-        self.lattice = Lattice(domain if domain is not None else ConstPropDomain())
-        self.loop_mode = check_loop_mode(loop_mode)
-        self.unroll_bound = unroll_bound
-        self.stats = AnalysisStats()
-        self.max_visits = max_visits
-        self.init_obs(trace, metrics)
-        self.init_perf(cache)
-        table = dict(initial) if initial else {}
-        if top_kvar not in table:
-            table[top_kvar] = self.lattice.of_konts(A_STOP)
-        self.initial_store = AbsStore(self.lattice, table)
-        self._active: dict[tuple[int, AbsStore], int] = {}
-        self._depth = 0
+        self._top_kvar = top_kvar
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
+        self.init_loop(loop_mode, unroll_bound)
+        self.initial_store = _cps_initial_store(
+            self.lattice, initial, top_kvar
+        )
+
+    def check_term(self, term: CTerm) -> None:
+        """The cps(A) grammar and scoping, with ``top_kvar`` free."""
+        validate_cps(term, frozenset((self._top_kvar,)))
 
     @cached_property
     def top_value(self) -> AbsVal:
@@ -130,17 +125,6 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
             self.lattice.domain.top,
             closures | closures_of_store(self.initial_store),
             konts | konts_of_store(self.initial_store),
-        )
-
-    def run(self) -> AnalysisResult:
-        """Analyze the program and return the result."""
-        try:
-            with recursion_headroom():
-                answer = self.eval(self.term, self.initial_store)
-        finally:
-            self.finish_metrics()
-        return AnalysisResult(
-            self.analyzer_name, answer, self.stats, self.lattice
         )
 
     # ------------------------------------------------------------------
@@ -283,7 +267,7 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
             answer = (
                 branch
                 if answer is None
-                else self._join(answer, branch, "apply")
+                else self.join_answers(answer, branch, "apply")
             )
         if answer is None:
             return AAnswer(self.lattice.bottom, store)
@@ -313,14 +297,14 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
             answer = (
                 branch
                 if answer is None
-                else self._join(answer, branch, "return")
+                else self.join_answers(answer, branch, "return")
             )
         if answer is None:
             return AAnswer(self.lattice.bottom, store)
         return answer
 
     # ------------------------------------------------------------------
-    # Conditionals and loops
+    # Conditionals (``loop`` is `CpsAnalyzerMixin._loop`)
     # ------------------------------------------------------------------
 
     def _branch(
@@ -352,40 +336,18 @@ class SyntacticCpsAnalyzer(WorkBudgetMixin):
             return AAnswer(self.lattice.bottom, store)
         then_answer = self.eval(then, bound)
         else_answer = self.eval(orelse, bound)
-        return self._join(then_answer, else_answer, "if0")
+        return self.join_answers(then_answer, else_answer, "if0")
 
-    def _loop(self, kont_val: AbsVal, store: AbsStore) -> AAnswer:
-        """Section 6.2 ``loop``: same undecidability as the semantic
-        analyzer; see the module docstring of
-        :mod:`repro.analysis.semantic_cps`."""
-        lattice = self.lattice
-        domain = lattice.domain
-        if self.loop_mode == "reject":
-            raise NonComputableError(
-                "syntactic-CPS analysis of `loop` requires the join of "
-                "the continuation applied to every natural, which is "
-                "undecidable (paper Section 6.2); re-run with "
-                "loop_mode='top' or loop_mode='unroll'"
-            )
-        if self.loop_mode == "top":
-            return self.ret(kont_val, lattice.of_num(domain.iota), store)
-        answer: AAnswer | None = None
-        for i in range(self.unroll_bound + 1):
-            branch = self.ret(kont_val, lattice.of_const(i), store)
-            answer = (
-                branch
-                if answer is None
-                else self._join(answer, branch, "loop")
-            )
-        assert answer is not None
-        return answer
 
-    def _join(self, a: AAnswer, b: AAnswer, site: str = "join") -> AAnswer:
-        self.count_join(site)
-        return AAnswer(
-            self.lattice.join(a.value, b.value),
-            a.store.join(b.store),
-        )
+def _cps_initial_store(
+    lattice: Lattice, initial: Mapping[str, AbsVal] | None, top_kvar: str
+) -> AbsStore:
+    """The initial store of a syntactic-CPS analysis (tree or plan):
+    ``initial``, with ``top_kvar`` bound to ``{stop}`` unless given."""
+    table = dict(initial) if initial else {}
+    if top_kvar not in table:
+        table[top_kvar] = lattice.of_konts(A_STOP)
+    return AbsStore(lattice, table)
 
 
 def analyze_syntactic_cps(

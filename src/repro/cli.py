@@ -33,9 +33,9 @@ Interpreter and analyzer failures exit with the structured
 
 ``run``, ``analyze``, and ``dataflow`` accept ``--stats`` to print the
 `repro.obs` work counters (visits, joins, widenings, loop cuts, span
-timings) after their normal output.  ``analyze`` and ``dataflow``
-accept ``--cache`` to enable the analyzers' eval memo or MFP's join
-memo (results are identical; visit counts drop).  ``survey`` and
+timings) after their normal output.  ``analyze`` accepts ``--cache``
+to enable the analyzers' eval memo (results are identical; visit
+counts drop).  ``survey`` and
 ``report`` accept ``--jobs N`` to fan work out over worker processes.
 
 Programs are read from a file argument, or from ``-e SOURCE`` for
@@ -787,11 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the solvers' repro.obs metrics snapshot",
     )
-    dataflow_parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="memoize MFP fact joins (repro.perf; identical solution)",
-    )
     dataflow_parser.set_defaults(handler=_cmd_dataflow)
 
     corpus_parser = commands.add_parser(
@@ -1091,10 +1086,7 @@ def _cmd_dataflow(args: argparse.Namespace) -> int:
     metrics = Metrics() if args.stats else None
     wanted = ("mfp", "mop") if args.solver == "both" else (args.solver,)
     for which in wanted:
-        if which == "mfp" and args.cache:
-            solution = solvers[which](problem, metrics=metrics, cache=True)
-        else:
-            solution = solvers[which](problem, metrics=metrics)
+        solution = solvers[which](problem, metrics=metrics)
         exit_facts = solution[problem.exit_point]
         print(f"[{which.upper()}] facts at exit:")
         if exit_facts is None:

@@ -206,19 +206,17 @@ class PersistentPool:
     paid once per pool, not once per batch.
     """
 
-    def __init__(self, jobs: int, start_method: str | None = None) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise ValueError("need at least one worker")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
-        if start_method == "fork":
+        methods = multiprocessing.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else methods[0]
+        if self.start_method == "fork":
             # Warm the parent *before* forking: children inherit the
             # imported modules, parsed corpus, and compiled plans
             # copy-on-write, making their own warm-up a no-op.
             warm_analysis_caches()
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(self.start_method)
         self.jobs = jobs
         self._workers: list[_Worker] = []
         self._map_lock = threading.Lock()

@@ -27,8 +27,9 @@ Request mixes:
 - ``corpus`` — analyze/run/compare/lint over corpus programs; repeats
   hit the server's result cache, so this measures the cached fast
   path after warm-up;
-- ``unique`` — generated programs wrapped in per-request unique
-  binders, so every request misses the cache and pays for analysis;
+- ``unique`` — a generated program per request index that binds the
+  index itself, so every request misses the cache and pays for
+  analysis;
 - ``--replay LOG`` — the ``request`` payloads of a JSONL access log
   (`repro.serve.accesslog`), replayed in order.
 
@@ -52,6 +53,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Union
 
 from repro.serve.accesslog import read_access_log, validate_record
 from repro.serve.client import RetryPolicy, ServiceClient, ServiceError
@@ -101,27 +103,28 @@ def corpus_mix() -> list[LoadRequest]:
     ]
 
 
-def unique_mix(count: int) -> list[LoadRequest]:
-    """``count`` analyze requests over generated programs, each with a
-    per-request unique binder so no two share a cache key — the
-    cache-busting mix that makes every request pay for analysis."""
+def _unique_request(index: int) -> LoadRequest:
+    """Request ``index`` of the cache-busting mix: an analyze request
+    whose program binds ``index`` itself, so no two indices share a
+    cache key (keys hash the program up to renaming, so a fresh binder
+    name alone would not do) and every request pays for analysis."""
     analyzers = ("direct", "semantic-cps")
-    requests = []
-    for index in range(count):
-        binder = f"u{index}"
-        source = (
-            f"(let ({binder} {index % 7}) "
-            f"(let (b (* {binder} 3)) "
-            f"(let (c (+ b {index % 5})) "
-            f"(if0 c {binder} (- c {binder})))))"
-        )
-        requests.append(
-            LoadRequest("/v1/analyze", {
-                "program": source,
-                "analyzer": analyzers[index % len(analyzers)],
-            })
-        )
-    return requests
+    binder = f"u{index}"
+    source = (
+        f"(let ({binder} {index}) "
+        f"(let (b (* {binder} 3)) "
+        f"(let (c (+ b {index % 5})) "
+        f"(if0 c {binder} (- c {binder})))))"
+    )
+    return LoadRequest("/v1/analyze", {
+        "program": source,
+        "analyzer": analyzers[index % len(analyzers)],
+    })
+
+
+def unique_mix(count: int) -> list[LoadRequest]:
+    """The first ``count`` requests of the cache-busting mix."""
+    return [_unique_request(index) for index in range(count)]
 
 
 def replay_mix(log_path: "str | Path") -> list[LoadRequest]:
@@ -140,7 +143,22 @@ def replay_mix(log_path: "str | Path") -> list[LoadRequest]:
     return requests
 
 
-MIXES = {"corpus": corpus_mix, "unique": lambda: unique_mix(64)}
+#: A request mix: a list the loops cycle through by request index, or
+#: a function from the index to its request (the unique mix, which
+#: never repeats).
+_Mix = Union[list[LoadRequest], Callable[[int], LoadRequest]]
+
+MIXES: dict[str, Callable[[], _Mix]] = {
+    "corpus": corpus_mix,
+    "unique": lambda: _unique_request,
+}
+
+
+def _request_at(mix: _Mix, index: int) -> LoadRequest:
+    """The request a loop sends as its ``index``-th."""
+    if callable(mix):
+        return mix(index)
+    return mix[index % len(mix)]
 
 
 # -- the generator ----------------------------------------------------
@@ -175,7 +193,7 @@ def _make_client(
 
 def run_closed_loop(
     base_url: str,
-    mix: list[LoadRequest],
+    mix: _Mix,
     concurrency: int = 4,
     total: int | None = None,
     duration_s: float | None = None,
@@ -212,7 +230,7 @@ def run_closed_loop(
             index = next_index()
             if index is None:
                 break
-            request = mix[index % len(mix)]
+            request = _request_at(mix, index)
             t0 = time.perf_counter()
             try:
                 client.request(request.path, request.payload)
@@ -240,7 +258,7 @@ def run_closed_loop(
 
 def run_open_loop(
     base_url: str,
-    mix: list[LoadRequest],
+    mix: _Mix,
     rate: float,
     duration_s: float,
     concurrency: int = 8,
@@ -261,7 +279,7 @@ def run_open_loop(
     interval = 1.0 / rate
     work: "queue.Queue[tuple[float, LoadRequest]]" = queue.Queue()
     for index in range(arrivals):
-        work.put((index * interval, mix[index % len(mix)]))
+        work.put((index * interval, _request_at(mix, index)))
     outcome = RunOutcome()
     lock = threading.Lock()
     started = time.perf_counter()

@@ -235,7 +235,6 @@ class ShardedExecutor:
         cache_size: int = 256,
         defaults: ServiceDefaults | None = None,
         metrics: Metrics | None = None,
-        start_method: str | None = None,
         incr_store: "str | None" = None,
     ) -> None:
         if shards < 1:
@@ -247,16 +246,14 @@ class ShardedExecutor:
         self.queue_size = queue_size
         self.cache_size = cache_size
         self.incr_store_path = incr_store
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
-        if start_method == "fork":
+        methods = multiprocessing.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else methods[0]
+        if self.start_method == "fork":
             # Warm the dispatcher before forking: every shard inherits
             # the analyzer stack, corpus, and compiled plans
             # copy-on-write instead of re-importing them.
             warm_analysis_caches()
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(self.start_method)
         self.workers = shards
         self.respawns = 0
         self._draining = False

@@ -224,37 +224,3 @@ class TestParityFramework:
         mfp = solve_mfp(problem)
         assert mfp_value(problem, mfp, "b") is EVEN
         assert mop_value(problem, mop, "b") is EVEN
-
-
-class TestMfpJoinMemo:
-    """`solve_mfp(..., cache=True)` memoizes fact joins (`JoinMemo`)
-    without moving the solution."""
-
-    PROGRAMS = [
-        "(let (a (+ 1 2)) (let (b (* a a)) b))",
-        "(let (r (if0 x 1 2)) r)",
-        "(let (a1 (if0 x 0 1)) (let (a2 (if0 a1 (+ a1 3) (+ a1 2))) a2))",
-        "(let (d (loop)) d)",
-    ]
-
-    @pytest.mark.parametrize("source", PROGRAMS)
-    def test_cached_solution_identical(self, source):
-        term = normalize(parse(source), ensure_unique=False)
-        entry = {name: DOM.top for name in free_variables(term)}
-        problem = build_problem(term, DOM, entry_facts=entry)
-        assert solve_mfp(problem, cache=True) == solve_mfp(problem)
-
-    def test_cache_metrics_recorded(self):
-        from repro.obs.metrics import Metrics
-
-        term = normalize(
-            parse(self.PROGRAMS[2]), ensure_unique=False
-        )
-        problem = build_problem(term, DOM, entry_facts={"x": DOM.top})
-        metrics = Metrics()
-        solve_mfp(problem, metrics=metrics, cache=True)
-        counters = metrics.snapshot()["counters"]
-        assert "perf.mfp.join_memo_misses" in counters
-        uncached = Metrics()
-        solve_mfp(problem, metrics=uncached)
-        assert "perf.mfp.join_memo_misses" not in uncached.snapshot()["counters"]

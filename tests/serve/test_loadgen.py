@@ -10,6 +10,7 @@ from repro.serve.accesslog import AccessLog
 from repro.serve.jobs import ServiceDefaults, prepare_request
 from repro.serve.loadgen import (
     LOADGEN_SCHEMA,
+    MIXES,
     LoadRequest,
     RequestResult,
     RunOutcome,
@@ -58,6 +59,17 @@ class TestMixes:
             for request in unique_mix(16)
         }
         assert len(keys) == 16
+
+    def test_unique_mix_keys_do_not_cycle(self):
+        defaults = ServiceDefaults()
+        mix = MIXES["unique"]()
+        keys = {
+            prepare_request(
+                "analyze", mix(index).payload, defaults
+            ).key
+            for index in range(0, 1000, 7)
+        }
+        assert len(keys) == len(range(0, 1000, 7))
 
     def test_replay_mix_reads_request_payloads(self, tmp_path):
         log_path = tmp_path / "access.jsonl"
@@ -317,6 +329,26 @@ class TestSpawnedServer:
         assert payload["meta"]["server"] == {
             "spawned": True, "workers": 4, "args": [],
         }
+
+    def test_unique_mix_never_hits_the_cache(self, tmp_path):
+        # more requests than any fixed list of bodies would hold: each
+        # request index carries its own program, so none is a repeat
+        out = tmp_path / "BENCH_serve.json"
+        access = tmp_path / "access.jsonl"
+        payload = run_loadgen(
+            None,
+            mix="unique",
+            total=200,
+            out=out,
+            access_log_path=access,
+            workers=2,
+        )
+        validate_loadgen_file(out)
+        assert payload["requests"] == 200
+        assert payload["errors"] == 0
+        cache = payload["access_log"]["cache"]
+        assert cache["hit"] == 0
+        assert cache["miss"] == 200
 
     def test_server_args_reach_the_spawned_server(self, tmp_path):
         # --server-args passthrough: the spawned server really runs

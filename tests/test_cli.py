@@ -425,3 +425,10 @@ class TestStatsFlags:
         )
         assert "mfp.iterations" in out
         assert "mop.paths" in out
+
+    def test_dataflow_has_no_cache_flag(self, capsys):
+        # the MFP join memo is gone; its flag is an unknown argument
+        with pytest.raises(SystemExit) as info:
+            main(["dataflow", "-e", "(let (a 1) a)", "--cache"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
