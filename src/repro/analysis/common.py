@@ -123,6 +123,11 @@ class AbsTag:
     def __str__(self) -> str:
         return self.tag
 
+    def __reduce__(self) -> str:
+        # The module global's name: `pickle` gives back the singleton,
+        # which the analyzers test by identity (``clo is A_INC``).
+        return f"A_{self.tag.upper()}"
+
 
 A_INC = AbsTag("inc")
 A_DEC = AbsTag("dec")
@@ -172,6 +177,9 @@ class AbsStop:
 
     def __str__(self) -> str:
         return "stop"
+
+    def __reduce__(self) -> str:
+        return "A_STOP"  # the singleton, as `AbsTag.__reduce__`
 
 
 A_STOP = AbsStop()
@@ -684,6 +692,16 @@ def check_loop_mode(mode: str) -> str:
     return mode
 
 
+def check_unroll_bound(bound: int) -> int:
+    """Validate a ``loop_mode='unroll'`` bound: an integer >= 0 (0
+    joins the continuation applied to 0 alone)."""
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
+        raise ValueError(
+            f"unroll_bound must be an integer >= 0, got {bound!r}"
+        )
+    return bound
+
+
 class CpsAnalyzerMixin(WorkBudgetMixin):
     """What the four CPS analyzers (semantic and syntactic, tree and
     plan) share beyond the skeleton: the Section 6.2 ``loop`` rule.
@@ -703,7 +721,7 @@ class CpsAnalyzerMixin(WorkBudgetMixin):
         """Validate and keep the ``loop`` treatment (constructor
         helper)."""
         self.loop_mode = check_loop_mode(loop_mode)
-        self.unroll_bound = unroll_bound
+        self.unroll_bound = check_unroll_bound(unroll_bound)
 
     def _loop(self, kont, store) -> AAnswer:
         """Section 6.2: ``loop`` passes every natural number to the

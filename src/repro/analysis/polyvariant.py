@@ -218,6 +218,16 @@ class PolyvariantDirectAnalyzer(_PolyvariantSkeleton):
             term, domain, k, initial, check, max_visits, trace, metrics, cache
         )
         self.set_top(closures_of_term(term))
+        #: ``id(body)`` → ``free_variables(body)`` of each closure body
+        #: met, so a body is walked once per analysis, not at every
+        #: closure creation and application.
+        self._body_free: dict[int, frozenset[str]] = {}
+
+    def _free_in(self, body: Term) -> frozenset[str]:
+        free = self._body_free.get(id(body))
+        if free is None:
+            free = self._body_free[id(body)] = free_variables(body)
+        return free
 
     def _entry(self) -> AAnswer:
         env: dict[str, Context] = {
@@ -247,10 +257,11 @@ class PolyvariantDirectAnalyzer(_PolyvariantSkeleton):
             case Prim("sub1"):
                 return lattice.of_clos(A_DEC)
             case Lam(param, body):
-                needed = free_variables(body) - {param}
                 captured = tuple(
                     sorted(
-                        (name, env[name]) for name in needed if name in env
+                        (name, env[name])
+                        for name in self._free_in(body)
+                        if name in env and name != param
                     )
                 )
                 return lattice.of_clos(PolyClo(param, body, captured))
@@ -380,7 +391,7 @@ class PolyvariantDirectAnalyzer(_PolyvariantSkeleton):
                     store, CtxVar(clo.param, callee_ctx), arg
                 )
                 callee_env = dict(clo.env)
-                for free in free_variables(clo.body):
+                for free in self._free_in(clo.body):
                     if free not in callee_env and free != clo.param:
                         known = clo.lookup_ctx(free)
                         if known is not None:

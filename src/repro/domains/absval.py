@@ -48,6 +48,11 @@ class AbsVal:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def __reduce__(self):
+        # Rebuild through the constructor: a pickled ``_hash`` would be
+        # stale in a process with another string-hash seed.
+        return AbsVal, (self.num, self.clos, self.konts)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [repr(self.num)]
         parts.append("{" + ", ".join(sorted(map(str, self.clos))) + "}")

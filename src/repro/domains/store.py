@@ -202,6 +202,11 @@ class AbsStore:
             h = self._hash = sum(map(hash, self._table.items())) % _HASH_MOD
         return h
 
+    def __reduce__(self):
+        # Rebuild through the constructor, without the cached hash (it
+        # depends on the process's string-hash seed).
+        return AbsStore, (self._lattice, self._table)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(
             f"{name} -> {value!r}" for name, value in sorted(self._table.items())
@@ -359,6 +364,10 @@ class SlotStore:
                 if v is not bottom
             ) % _HASH_MOD
         return h
+
+    def __reduce__(self):
+        # As `AbsStore.__reduce__`: the cached hash is not pickled.
+        return SlotStore, (self._lattice, self.vals, self.size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bottom = self._lattice.bottom

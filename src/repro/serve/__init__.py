@@ -15,6 +15,9 @@ analyzers warm in one long-lived process:
   processes (process mode);
 - :mod:`repro.serve.server` — ``POST /v1/analyze``, ``POST /v1/run``,
   ``POST /v1/compare``, ``GET /healthz``, ``GET /metricsz``;
+- :mod:`repro.serve.transport` — the HTTP/1.0 transport under it
+  (handler threads that accept directly, one-pass request reads, one
+  write per reply);
 - :mod:`repro.serve.client` — a retrying client with exponential
   backoff + jitter on ``overloaded`` and connection errors;
 - :mod:`repro.serve.accesslog` — the JSONL access log (one record per

@@ -27,7 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.common import LOOP_MODES
+from repro.analysis.common import LOOP_MODES, check_unroll_bound
 from repro.analysis.registry import (
     ALIASES,
     ANALYZERS,
@@ -335,7 +335,12 @@ def prepare_request(
             payload, "loop_mode", LOOP_MODES,
             "top" if kind == "lint" else "reject",
         )
-        spec["unroll_bound"] = _resolve_int(payload, "unroll_bound", 32)
+        try:
+            spec["unroll_bound"] = check_unroll_bound(
+                payload.get("unroll_bound", 32)
+            )
+        except ValueError as exc:
+            raise ServeError("bad_request", str(exc)) from None
         spec["max_visits"] = _resolve_int(
             payload, "max_visits", defaults.max_visits,
             cap=defaults.max_visits,

@@ -1,9 +1,11 @@
 """The HTTP/JSON front end.
 
-``ThreadingHTTPServer`` accepts connections; handler threads validate
-the request, probe the cross-request result cache, and enqueue a job
-on the bounded worker pool, waiting on its completion event.  The
-routes:
+`repro.serve.transport` accepts connections and reads each HTTP/1.0
+request on a handler thread; `AnalysisService.route` maps it to a reply
+(a plain function of method, path, headers and body, testable without
+a socket).  A handler thread validates the request, probes the
+cross-request result cache, and enqueues a job on the bounded worker
+pool, waiting on its completion event.  The routes:
 
 - ``POST /v1/analyze`` — one analyzer on one program;
 - ``POST /v1/run``     — one concrete interpreter;
@@ -44,8 +46,9 @@ POST writes one JSONL record tied to the same trace id.
 
 Graceful drain (SIGTERM/SIGINT via `run_until_signal`, or `drain()`
 programmatically): stop accepting new work (``overloaded``), finish
-everything queued and in flight, flush the JSONL trace sink and the
-access log, exit 0.
+everything queued and in flight, close the listening socket and join
+every handler thread, flush the JSONL trace sink and the access log,
+exit 0.
 """
 
 from __future__ import annotations
@@ -53,11 +56,9 @@ from __future__ import annotations
 import json
 import os
 import signal
-import sys
 import threading
 import time
 from functools import partial
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -73,6 +74,7 @@ from repro.serve.jobs import ServiceDefaults
 from repro.serve.pipeline import Reply, RequestPipeline, error_reply
 from repro.serve.pool import WorkerPool
 from repro.serve.shard import ShardedExecutor
+from repro.serve.transport import JSON_TYPE, HttpTransport, RouteReply
 
 _POST_ROUTES = {
     "/v1/analyze": "analyze",
@@ -104,15 +106,6 @@ class _LockedSink:
 
 def _dumps(payload: dict) -> str:
     return json.dumps(payload, ensure_ascii=False)
-
-
-class _DrainableHTTPServer(ThreadingHTTPServer):
-    """`ThreadingHTTPServer` whose ``server_close`` joins handler
-    threads, so drain really waits for in-flight responses to be
-    written before the process exits."""
-
-    daemon_threads = False
-    block_on_close = True
 
 
 class AnalysisService:
@@ -166,7 +159,7 @@ class AnalysisService:
         self.incr_store = open_store(incr_store)
         if worker_model == "process":
             # Shard processes must fork before this process grows
-            # threads (the HTTP serve loop, handler threads): forking
+            # threads (the HTTP handler threads): forking
             # a threaded parent risks inheriting held locks.
             self.executor: "WorkerPool | ShardedExecutor" = (
                 ShardedExecutor(
@@ -204,139 +197,81 @@ class AnalysisService:
             self._respond = partial(
                 self.pipeline.respond, run=self.executor.call
             )
-        self.verbose = verbose
         self.started_at = time.monotonic()
         self._drained = threading.Event()
-        service = self
+        self.transport = HttpTransport(host, port, self.route, verbose)
+        self.host, self.port = self.transport.host, self.transport.port
 
-        class Handler(BaseHTTPRequestHandler):
-            # one response per connection: no lingering keep-alive
-            # threads to wait out during drain
-            protocol_version = "HTTP/1.0"
-            # bound rfile reads so a silent client cannot block drain
-            timeout = 30
+    # -- routing ---------------------------------------------------------
 
-            def log_message(self, fmt, *args):  # pragma: no cover
-                if service.verbose:
-                    sys.stderr.write(
-                        "%s - %s\n" % (self.address_string(), fmt % args)
-                    )
-
-            def do_GET(self) -> None:
-                service._count("serve.requests.total")
-                parts = urlsplit(self.path)
-                if parts.path == "/healthz":
-                    self._reply(200, _dumps(service.health()))
-                elif parts.path == "/metricsz":
-                    query = parse_qs(parts.query)
-                    if query.get("format", [""])[-1] == "prom":
-                        self._reply(
-                            200,
-                            service.metrics_prometheus(),
-                            content_type=(
-                                "text/plain; version=0.0.4; "
-                                "charset=utf-8"
-                            ),
-                        )
-                    else:
-                        self._reply(200, _dumps(service.metricsz()))
-                elif parts.path == "/v1/corpus":
-                    self._reply(200, _dumps(corpus_listing()))
-                else:
-                    error = ServeError(
-                        "not_found", f"no such endpoint: GET {self.path}"
-                    )
-                    service._count("serve.responses.error.not_found")
-                    self._reply(
-                        error.error_code.http_status,
-                        _dumps(error.payload()),
-                    )
-
-            def do_POST(self) -> None:
-                service._count("serve.requests.total")
-                ctx = obs_trace.begin_trace(
-                    self.headers.get("traceparent")
-                )
-                root_span_id = None
-                kind = _POST_ROUTES.get(self.path)
-                with obs_trace.activate(ctx):
-                    if kind is None and self.path != "/v1/batch":
-                        status, body = service._error_response(
-                            ServeError(
-                                "not_found",
-                                f"no such endpoint: POST {self.path}",
-                            )
-                        )
-                    else:
-                        try:
-                            length = int(
-                                self.headers.get("Content-Length", 0)
-                            )
-                            payload = json.loads(
-                                self.rfile.read(length).decode("utf-8")
-                                if length
-                                else "{}"
-                            )
-                        except (ValueError, UnicodeDecodeError) as exc:
-                            status, body = service._error_response(
-                                ServeError(
-                                    "bad_request",
-                                    "request body is not valid JSON: "
-                                    f"{exc}",
-                                )
-                            )
-                        else:
-                            with obs_trace.span(
-                                "request", route=self.path
-                            ) as root:
-                                root_span_id = root.span_id
-                                if kind is None:
-                                    status, body = (
-                                        service.process_batch(payload)
-                                    )
-                                else:
-                                    status, body = service.process(
-                                        kind, payload
-                                    )
-                self._reply(
-                    status,
-                    body,
-                    extra_headers=(
-                        (
-                            "traceparent",
-                            obs_trace.format_traceparent(
-                                ctx.trace_id,
-                                root_span_id
-                                or obs_trace.new_span_id(),
-                            ),
-                        ),
-                    ),
-                )
-
-            def _reply(
-                self,
-                status: int,
-                body: str,
-                content_type: str = "application/json; charset=utf-8",
-                extra_headers: tuple = (),
-            ) -> None:
-                data = body.encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(data)))
-                for name, value in extra_headers:
-                    self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(data)
-
-        self.httpd = _DrainableHTTPServer((host, port), Handler)
-        self.host, self.port = self.httpd.server_address[:2]
-        self._serve_thread = threading.Thread(
-            target=self.httpd.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
+    def route(
+        self, method: str, path: str, headers: dict, body: bytes
+    ) -> RouteReply:
+        """One HTTP request, as the transport read it (``headers`` with
+        lowercased names), to ``(status, body, content_type,
+        extra_headers)``."""
+        self._count("serve.requests.total")
+        if method == "GET":
+            return self._route_get(path)
+        if method == "POST":
+            return self._route_post(path, headers, body)
+        status, text = self._error_response(
+            ServeError("not_found", f"no such endpoint: {method} {path}")
         )
-        self._serve_thread.start()
+        return status, text, JSON_TYPE, ()
+
+    def _route_get(self, path: str) -> RouteReply:
+        parts = urlsplit(path)
+        if parts.path == "/healthz":
+            return 200, _dumps(self.health()), JSON_TYPE, ()
+        if parts.path == "/metricsz":
+            if parse_qs(parts.query).get("format", [""])[-1] == "prom":
+                return (
+                    200,
+                    self.metrics_prometheus(),
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    (),
+                )
+            return 200, _dumps(self.metricsz()), JSON_TYPE, ()
+        if parts.path == "/v1/corpus":
+            return 200, _dumps(corpus_listing()), JSON_TYPE, ()
+        status, text = self._error_response(
+            ServeError("not_found", f"no such endpoint: GET {path}")
+        )
+        return status, text, JSON_TYPE, ()
+
+    def _route_post(self, path: str, headers: dict, body: bytes) -> RouteReply:
+        ctx = obs_trace.begin_trace(headers.get("traceparent"))
+        root_span_id = None
+        kind = _POST_ROUTES.get(path)
+        with obs_trace.activate(ctx):
+            if kind is None and path != "/v1/batch":
+                status, text = self._error_response(
+                    ServeError("not_found", f"no such endpoint: POST {path}")
+                )
+            else:
+                try:
+                    payload = json.loads(
+                        body.decode("utf-8") if body else "{}"
+                    )
+                except (ValueError, UnicodeDecodeError) as exc:
+                    status, text = self._error_response(
+                        ServeError(
+                            "bad_request",
+                            f"request body is not valid JSON: {exc}",
+                        )
+                    )
+                else:
+                    with obs_trace.span("request", route=path) as root:
+                        root_span_id = root.span_id
+                        if kind is None:
+                            status, text = self.process_batch(payload)
+                        else:
+                            status, text = self.process(kind, payload)
+        traceparent = obs_trace.format_traceparent(
+            ctx.trace_id, root_span_id or obs_trace.new_span_id()
+        )
+        return status, text, JSON_TYPE, (("traceparent", traceparent),)
 
     # -- request processing -------------------------------------------
 
@@ -578,13 +513,13 @@ class AnalysisService:
     # -- lifecycle -----------------------------------------------------
 
     def drain(self, timeout: float = 30.0) -> bool:
-        """Graceful shutdown: finish in-flight work, stop the HTTP
-        loop, flush the trace sink.  Idempotent."""
+        """Graceful shutdown: finish in-flight work, stop accepting and
+        join the HTTP handler threads, flush the trace sink.
+        Idempotent."""
         if self._drained.is_set():
             return True
         clean = self.executor.drain(timeout=timeout)
-        self.httpd.shutdown()
-        self.httpd.server_close()
+        self.transport.close()
         self.trace.close()
         if self.access_log is not None:
             self.access_log.close()

@@ -143,3 +143,56 @@ class TestDuplicationValueOfLoop:
         )
         assert sign_top.num_of("r") is ZERO  # 0 absorbs in sign too
         assert sign_unrolled.num_of("r") is ZERO
+
+
+class TestUnrollBoundRule:
+    """One rule for ``unroll_bound`` (`check_unroll_bound`): an integer
+    >= 0.  Every CPS analyzer, tree and plan, checks it at
+    construction, and the service applies the same rule, so library
+    and service agree on 0 and refuse the same values."""
+
+    CPS = [
+        (name, engine)
+        for name in ("semantic-cps", "syntactic-cps")
+        for engine in ("tree", "plan")
+    ]
+
+    @pytest.mark.parametrize("name, engine", CPS)
+    @pytest.mark.parametrize("bound", [-1, 1.5, None, True, "3"])
+    def test_bad_bound_is_a_value_error(self, name, engine, bound):
+        from repro.analysis.registry import build_analyzer
+
+        program = loop_feeding_conditional(3)
+        with pytest.raises(ValueError, match="unroll_bound must be"):
+            build_analyzer(
+                name, program.term, engine=engine, loop_mode="unroll",
+                unroll_bound=bound,
+            )
+
+    @pytest.mark.parametrize("name, engine", CPS)
+    def test_zero_joins_the_first_iteration_only(self, name, engine):
+        from repro.analysis.registry import run_analyzer
+
+        program = loop_feeding_conditional(3)
+        result = run_analyzer(
+            name, program.term, engine=engine, loop_mode="unroll",
+            unroll_bound=0,
+        )
+        assert result.constant_of("r") == 222  # i = 0 only: (- 0 3) != 0
+
+    def test_the_service_applies_the_same_rule(self):
+        from repro.serve.codes import ServeError
+        from repro.serve.jobs import execute_request
+
+        body = {
+            "program": "(let (i (loop)) (let (r (if0 i 111 222)) r))",
+            "analyzer": "semantic-cps",
+            "loop_mode": "unroll",
+        }
+        zero = execute_request("analyze", {**body, "unroll_bound": 0})
+        assert zero["ok"] and zero["result"]["store"]["r"]["num"] == "111"
+        for bad in (-1, None, 2.5):
+            with pytest.raises(ServeError) as info:
+                execute_request("analyze", {**body, "unroll_bound": bad})
+            assert info.value.code == "bad_request"
+            assert "unroll_bound must be" in str(info.value)
