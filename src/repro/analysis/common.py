@@ -678,7 +678,7 @@ class WorkBudgetMixin:
 #:   the exact join over all naturals is undecidable);
 #: - ``'top'``    — apply the continuation once to the join of all
 #:   naturals (sound, loses the per-iteration duplication — this is
-#:   what the direct analyzer effectively does);
+#:   the rule the direct analyzer runs, under the empty continuation);
 #: - ``'unroll'`` — join the continuation applied to 0..bound and then
 #:   stop; demonstrates the undecidability experimentally (the result
 #:   may keep changing as the bound grows) and is NOT sound in general.
@@ -705,6 +705,8 @@ def check_unroll_bound(bound: int) -> int:
 class CpsAnalyzerMixin(WorkBudgetMixin):
     """What the four CPS analyzers (semantic and syntactic, tree and
     plan) share beyond the skeleton: the Section 6.2 ``loop`` rule.
+    The direct analyzers inherit it through the semantic-CPS machine,
+    fixed to ``'top'``.
 
     A subclass names its ``reject`` message in `loop_reject_message`
     and supplies ``ret(kont, value, store)``; the continuation is

@@ -37,9 +37,15 @@ join and the visit/trace/memo bookkeeping come from
 and each ``reject`` message from `CpsAnalyzerMixin` and the tree
 classes, the k-CFA set-up from the polyvariant module, and the
 syntactic-CPS initial store from the syntactic-CPS module.  Among the
-engines, `_SlotEngine` loads a plan into a slot store,
-`_AnfPlanEngine` is the direct and semantic-CPS set-up, and
+engines, `_SlotEngine` loads a plan into a slot store, and
 `_entry_lookup` is the one closure/continuation → entry table.
+
+The direct and semantic-CPS engines are one machine, as on the tree
+engine: `DirectPlanAnalyzer` is `SemanticCpsPlanAnalyzer` with the
+class constant `joins_at_return` set (Theorem 5.4's one rule), so an
+application, conditional or ``loop`` runs under the empty continuation
+and its answer is bound before the spine goes on, where semantic-CPS
+pushes a ``(dst_slot, next_pc)`` frame.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from repro.analysis.polyvariant import (
     _PolyvariantSkeleton,
     _truncate,
 )
+from repro.analysis.direct import DirectAnalyzer
 from repro.analysis.result import AnalysisResult
 from repro.analysis.semantic_cps import SemanticCpsAnalyzer
 from repro.analysis.syntactic_cps import (
@@ -88,7 +95,6 @@ from repro.machine.absplan import (
     OP_APP,
     OP_BIND,
     OP_IF,
-    OP_LOOP,
     OP_PRIM,
     OP_TAIL,
     COP_BIND,
@@ -284,9 +290,42 @@ class _SlotEngine(WorkBudgetMixin):
         )
 
 
-class _AnfPlanEngine(_SlotEngine):
-    """Set-up shared by the direct and semantic-CPS engines, which run
-    the same compiled `AnfPlan`."""
+# ----------------------------------------------------------------------
+# Semantic-CPS and direct engines (Figures 5 and 4 over plans)
+# ----------------------------------------------------------------------
+
+
+class SemanticCpsPlanAnalyzer(_SlotEngine, CpsAnalyzerMixin):
+    """The Figure 5 judgments over a compiled `AnfPlan`.
+
+    Continuations are tuples of ``(dst_slot, next_pc)`` frames — the
+    compiled image of the tree analyzer's ``AFrame`` stacks.  As on the
+    tree engine, the class is one machine for Figures 4 and 5:
+    `joins_at_return` is Theorem 5.4's one rule (`DirectPlanAnalyzer`
+    sets it).
+    """
+
+    analyzer_name = "semantic-cps"
+    joins_at_return = SemanticCpsAnalyzer.joins_at_return
+    loop_reject_message = SemanticCpsAnalyzer.loop_reject_message
+
+    def __init__(
+        self,
+        term: Term,
+        domain: NumDomain | None = None,
+        initial: Mapping[str, AbsVal] | None = None,
+        loop_mode: str = "reject",
+        unroll_bound: int = 32,
+        check: bool = True,
+        max_visits: int | None = None,
+        trace: Sink | None = None,
+        metrics: Metrics | None = None,
+        cache: bool = False,
+        plan_cache: PlanCache | None = PLAN_CACHE,
+    ) -> None:
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
+        self.init_loop(loop_mode, unroll_bound)
+        self.load_anf_plan(term, initial, plan_cache)
 
     def load_anf_plan(
         self,
@@ -310,193 +349,6 @@ class _AnfPlanEngine(_SlotEngine):
         self.top_value = AbsVal(
             self.lattice.domain.top, plan.cl_top | store_clos
         )
-
-
-# ----------------------------------------------------------------------
-# Direct engine (Figure 4 over plans)
-# ----------------------------------------------------------------------
-
-
-class DirectPlanAnalyzer(_AnfPlanEngine):
-    """The Figure 4 judgments, replayed over a compiled `AnfPlan`."""
-
-    analyzer_name = "direct"
-
-    def __init__(
-        self,
-        term: Term,
-        domain: NumDomain | None = None,
-        initial: Mapping[str, AbsVal] | None = None,
-        check: bool = True,
-        max_visits: int | None = None,
-        trace: Sink | None = None,
-        metrics: Metrics | None = None,
-        cache: bool = False,
-        plan_cache: PlanCache | None = PLAN_CACHE,
-    ) -> None:
-        self.setup(term, domain, check, max_visits, trace, metrics, cache)
-        self.load_anf_plan(term, initial, plan_cache)
-
-    def eval(self, pc: int, store: SlotStore) -> AAnswer:
-        if self._memo is None:
-            return self._eval(pc, store)
-        start_seq, footprint = self.memo_frame()
-        try:
-            answer = self._eval(pc, store)
-        finally:
-            self.memo_frame_end(footprint)
-        return self.memo_complete(
-            (pc, store),
-            start_seq,
-            footprint,
-            answer,
-            cacheable=self._code[pc][0] != OP_TAIL,
-        )
-
-    def _eval(self, pc: int, store: SlotStore) -> AAnswer:
-        registered: list = []
-        memo = self._memo
-        code = self._code
-        terms = self._terms
-        cvals = self._cvals
-        active = self._active
-        tick = self.tick
-        bind_slot = self.bind_slot
-        self._depth += 1
-        if self._depth > self.stats.max_depth:
-            self.stats.max_depth = self._depth
-        try:
-            while True:
-                instr = code[pc]
-                op = instr[0]
-                tick(terms[pc])
-                if op == OP_TAIL:
-                    ref = instr[1]
-                    return AAnswer(
-                        store.vals[ref] if ref >= 0 else cvals[-1 - ref],
-                        store,
-                    )
-                key = (pc, store)
-                owner = active.get(key)
-                if owner is not None:
-                    self.note_loop_cut(owner, terms[pc])
-                    return AAnswer(self.top_value, store)
-                if memo is not None:
-                    hit = self.memo_probe(key, key, terms[pc])
-                    if hit is not None:
-                        return hit
-                self.register_judgment(key, registered)
-                if op == OP_BIND:
-                    ref = instr[2]
-                    result = (
-                        store.vals[ref] if ref >= 0 else cvals[-1 - ref]
-                    )
-                    next_pc = instr[3]
-                elif op == OP_APP:
-                    ref = instr[2]
-                    fun = store.vals[ref] if ref >= 0 else cvals[-1 - ref]
-                    ref = instr[3]
-                    arg = store.vals[ref] if ref >= 0 else cvals[-1 - ref]
-                    answer = self.apply(fun, arg, store)
-                    result, store = answer.value, answer.store
-                    next_pc = instr[4]
-                elif op == OP_IF:
-                    answer = self._branch(
-                        instr, self._ref(instr[2], store), store
-                    )
-                    result, store = answer.value, answer.store
-                    next_pc = instr[5]
-                elif op == OP_PRIM:
-                    lattice = self.lattice
-                    result = lattice.of_num(
-                        lattice.domain.binop(
-                            instr[2],
-                            self._ref(instr[3], store).num,
-                            self._ref(instr[4], store).num,
-                        )
-                    )
-                    next_pc = instr[5]
-                else:  # OP_LOOP
-                    result = self.lattice.of_num(self.lattice.domain.iota)
-                    next_pc = instr[2]
-                store = bind_slot(store, instr[1], result)
-                pc = next_pc
-        finally:
-            self._depth -= 1
-            self.unregister_judgments(registered)
-
-    def apply(self, fun: AbsVal, arg: AbsVal, store: SlotStore) -> AAnswer:
-        lattice = self.lattice
-        domain = lattice.domain
-        value = lattice.bottom
-        out_store = store
-        seen = 0
-        for clo in canonical_order(fun.clos):
-            if clo is A_INC:
-                branch_value = lattice.of_num(domain.add1(arg.num))
-                branch_store = store
-            elif clo is A_DEC:
-                branch_value = lattice.of_num(domain.sub1(arg.num))
-                branch_store = store
-            else:
-                param_slot, body_pc = self._entry_of(clo)
-                entry = self.bind_slot(store, param_slot, arg)
-                answer = self.eval(body_pc, entry)
-                branch_value, branch_store = answer.value, answer.store
-            seen += 1
-            if seen > 1:
-                self.count_join("apply")
-            value = lattice.join(value, branch_value)
-            out_store = out_store.join(branch_store)
-        return AAnswer(value, out_store)
-
-    def _branch(self, instr, test: AbsVal, store: SlotStore) -> AAnswer:
-        domain = self.lattice.domain
-        zero_possible = domain.may_be_zero(test.num)
-        nonzero_possible = domain.may_be_nonzero(test.num) or bool(test.clos)
-        if zero_possible and not nonzero_possible:
-            return self.eval(instr[3], store)
-        if nonzero_possible and not zero_possible:
-            return self.eval(instr[4], store)
-        if not zero_possible and not nonzero_possible:
-            return AAnswer(self.lattice.bottom, store)
-        then_answer = self.eval(instr[3], store)
-        else_answer = self.eval(instr[4], store)
-        return self.join_answers(then_answer, else_answer, "if0")
-
-
-# ----------------------------------------------------------------------
-# Semantic-CPS engine (Figure 5 over plans)
-# ----------------------------------------------------------------------
-
-
-class SemanticCpsPlanAnalyzer(_AnfPlanEngine, CpsAnalyzerMixin):
-    """The Figure 5 judgments over a compiled `AnfPlan`.
-
-    Continuations are tuples of ``(dst_slot, next_pc)`` frames — the
-    compiled image of the tree analyzer's ``AFrame`` stacks.
-    """
-
-    analyzer_name = "semantic-cps"
-    loop_reject_message = SemanticCpsAnalyzer.loop_reject_message
-
-    def __init__(
-        self,
-        term: Term,
-        domain: NumDomain | None = None,
-        initial: Mapping[str, AbsVal] | None = None,
-        loop_mode: str = "reject",
-        unroll_bound: int = 32,
-        check: bool = True,
-        max_visits: int | None = None,
-        trace: Sink | None = None,
-        metrics: Metrics | None = None,
-        cache: bool = False,
-        plan_cache: PlanCache | None = PLAN_CACHE,
-    ) -> None:
-        self.setup(term, domain, check, max_visits, trace, metrics, cache)
-        self.init_loop(loop_mode, unroll_bound)
-        self.load_anf_plan(term, initial, plan_cache)
 
     def _entry(self) -> AAnswer:
         return self.eval(self._entry_pc, (), self.initial_store)
@@ -551,23 +403,12 @@ class SemanticCpsPlanAnalyzer(_AnfPlanEngine, CpsAnalyzerMixin):
                     if hit is not None:
                         return hit
                 self.register_judgment(key, registered)
+                # Every instruction but OP_TAIL is (op, dst_slot, ...,
+                # next_pc).
                 if op == OP_BIND:
                     ref = instr[2]
-                    store = self.bind_slot(
-                        store,
-                        instr[1],
-                        store.vals[ref] if ref >= 0 else cvals[-1 - ref],
-                    )
-                    pc = instr[3]
-                elif op == OP_APP:
-                    fun = self._ref(instr[2], store)
-                    arg = self._ref(instr[3], store)
-                    return self.apply(
-                        fun, arg, ((instr[1], instr[4]),) + kont, store
-                    )
-                elif op == OP_IF:
-                    return self._branch(
-                        instr, self._ref(instr[2], store), kont, store
+                    result = (
+                        store.vals[ref] if ref >= 0 else cvals[-1 - ref]
                     )
                 elif op == OP_PRIM:
                     lattice = self.lattice
@@ -578,10 +419,27 @@ class SemanticCpsPlanAnalyzer(_AnfPlanEngine, CpsAnalyzerMixin):
                             self._ref(instr[4], store).num,
                         )
                     )
-                    store = self.bind_slot(store, instr[1], result)
-                    pc = instr[5]
-                else:  # OP_LOOP
-                    return self._loop(((instr[1], instr[2]),) + kont, store)
+                else:
+                    joins = self.joins_at_return
+                    inner = () if joins else ((instr[1], instr[-1]),) + kont
+                    if op == OP_APP:
+                        answer = self.apply(
+                            self._ref(instr[2], store),
+                            self._ref(instr[3], store),
+                            inner,
+                            store,
+                        )
+                    elif op == OP_IF:
+                        answer = self._branch(
+                            instr, self._ref(instr[2], store), inner, store
+                        )
+                    else:  # OP_LOOP
+                        answer = self._loop(inner, store)
+                    if not joins:
+                        return answer
+                    result, store = answer.value, answer.store
+                store = self.bind_slot(store, instr[1], result)
+                pc = instr[-1]
         finally:
             self._depth -= 1
             self.unregister_judgments(registered)
@@ -624,12 +482,11 @@ class SemanticCpsPlanAnalyzer(_AnfPlanEngine, CpsAnalyzerMixin):
         )
 
     def _branch(
-        self, instr, test: AbsVal, kont: tuple, store: SlotStore
+        self, instr, test: AbsVal, inner: tuple, store: SlotStore
     ) -> AAnswer:
         domain = self.lattice.domain
         zero_possible = domain.may_be_zero(test.num)
         nonzero_possible = domain.may_be_nonzero(test.num) or bool(test.clos)
-        inner = ((instr[1], instr[5]),) + kont
         if zero_possible and not nonzero_possible:
             return self.eval(instr[3], inner, store)
         if nonzero_possible and not zero_possible:
@@ -639,6 +496,31 @@ class SemanticCpsPlanAnalyzer(_AnfPlanEngine, CpsAnalyzerMixin):
         then_answer = self.eval(instr[3], inner, store)
         else_answer = self.eval(instr[4], inner, store)
         return self.join_answers(then_answer, else_answer, "if0")
+
+
+class DirectPlanAnalyzer(SemanticCpsPlanAnalyzer):
+    """The Figure 4 judgments, replayed over a compiled `AnfPlan`: the
+    semantic-CPS plan machine joining at return, with ``loop`` bound
+    to the join of all naturals (as `repro.analysis.direct`)."""
+
+    analyzer_name = "direct"
+    joins_at_return = DirectAnalyzer.joins_at_return
+    loop_mode = DirectAnalyzer.loop_mode
+
+    def __init__(
+        self,
+        term: Term,
+        domain: NumDomain | None = None,
+        initial: Mapping[str, AbsVal] | None = None,
+        check: bool = True,
+        max_visits: int | None = None,
+        trace: Sink | None = None,
+        metrics: Metrics | None = None,
+        cache: bool = False,
+        plan_cache: PlanCache | None = PLAN_CACHE,
+    ) -> None:
+        self.setup(term, domain, check, max_visits, trace, metrics, cache)
+        self.load_anf_plan(term, initial, plan_cache)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,12 @@ constructor argument selects between raising `NonComputableError`
 (default, the faithful reading), applying the continuation once to the
 join of all naturals (sound but duplication-free), or unrolling a
 finite prefix (demonstrative, unsound in general).
+
+The class is the one machine for both Figure 4 and Figure 5.  Theorem
+5.4's difference is its class constant `joins_at_return`: ``False``
+here, ``True`` for `repro.analysis.direct.DirectAnalyzer`, which runs
+each application, conditional and ``loop`` under the empty
+continuation and joins at its return before going on down the spine.
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ class SemanticCpsAnalyzer(CpsAnalyzerMixin):
     """Figure 5, with Section 4.4 loop detection."""
 
     analyzer_name = "semantic-cps"
+    #: Theorem 5.4's one rule: ``False`` runs the rest of the let-spine
+    #: once per path, through a pushed frame (``Ce``); ``True`` joins
+    #: the paths at the return of the right-hand side and runs the rest
+    #: once (``Me``).
+    joins_at_return = False
+    cut_values = False
     loop_reject_message = (
         "semantic-CPS analysis of `loop` requires the join of "
         "appre(kont, (i, {})) over all naturals i, which is "
@@ -120,7 +132,7 @@ class SemanticCpsAnalyzer(CpsAnalyzerMixin):
         return self.eval(self.term, kont, self.initial_store)
 
     # ------------------------------------------------------------------
-    # phi_e (shared shape with the direct analyzer)
+    # phi_e (Figures 4 and 5)
     # ------------------------------------------------------------------
 
     def eval_value(self, value: Term, store: AbsStore) -> AbsVal:
@@ -128,11 +140,12 @@ class SemanticCpsAnalyzer(CpsAnalyzerMixin):
         return abstract_value(self.lattice, value, store)
 
     # ------------------------------------------------------------------
-    # Ce
+    # Ce (and Me)
     # ------------------------------------------------------------------
 
     def eval(self, term: Term, kont: AKont, store: AbsStore) -> AAnswer:
-        """``Ce``: analyze ``term`` with continuation ``kont``.
+        """``Ce``: analyze ``term`` with continuation ``kont`` (``Me``
+        when `joins_at_return`, where ``kont`` is always empty).
 
         With memoization off this is exactly `_eval`; with it on, the
         frame around `_eval` tracks the taint / footprint bookkeeping
@@ -156,7 +169,18 @@ class SemanticCpsAnalyzer(CpsAnalyzerMixin):
         )
 
     def _eval(self, term: Term, kont: AKont, store: AbsStore) -> AAnswer:
-        """The Figure 5 ``Ce`` clauses proper."""
+        """The Figure 5 ``Ce`` clauses proper — and, with
+        `joins_at_return`, the Figure 4 ``Me`` clauses.
+
+        Walks the let-spine iteratively; every intermediate judgment
+        ``(M, sigma)`` is registered on the active path so the Section
+        4.4 loop detection fires exactly as in the paper.  At an
+        application, conditional or ``loop`` the two figures part:
+        ``Ce`` pushes the frame ``(let (x []) M)`` and returns the
+        per-path answers; ``Me`` analyzes the right-hand side under
+        the empty continuation, binds the joined answer and goes on
+        down the spine once.
+        """
         registered: list[tuple[int, AbsStore]] = []
         memo = self._memo
         self._depth += 1
@@ -197,18 +221,7 @@ class SemanticCpsAnalyzer(CpsAnalyzerMixin):
                     )
                 name, rhs, body = term.name, term.rhs, term.body
                 if is_value(rhs):
-                    store = self.bind_join(
-                        store, name, self.eval_value(rhs, store)
-                    )
-                    term = body
-                elif isinstance(rhs, App):
-                    fun = self.eval_value(rhs.fun, store)
-                    arg = self.eval_value(rhs.arg, store)
-                    return self.apply(
-                        fun, arg, (AFrame(name, body),) + kont, store
-                    )
-                elif isinstance(rhs, If0):
-                    return self._branch(name, rhs, body, kont, store)
+                    result = self.eval_value(rhs, store)
                 elif isinstance(rhs, PrimApp):
                     nums = [
                         self.eval_value(a, store).num for a in rhs.args
@@ -216,25 +229,42 @@ class SemanticCpsAnalyzer(CpsAnalyzerMixin):
                     result = self.lattice.of_num(
                         self.lattice.domain.binop(rhs.op, nums[0], nums[1])
                     )
-                    store = self.bind_join(store, name, result)
-                    term = body
-                elif isinstance(rhs, Loop):
-                    return self._loop((AFrame(name, body),) + kont, store)
                 else:
-                    raise TypeError(f"invalid let right-hand side: {rhs!r}")
+                    joins = self.joins_at_return
+                    inner: AKont = (
+                        () if joins else (AFrame(name, body),) + kont
+                    )
+                    if isinstance(rhs, App):
+                        fun = self.eval_value(rhs.fun, store)
+                        arg = self.eval_value(rhs.arg, store)
+                        answer = self.apply(fun, arg, inner, store)
+                    elif isinstance(rhs, If0):
+                        answer = self._branch(rhs, inner, store)
+                    elif isinstance(rhs, Loop):
+                        answer = self._loop(inner, store)
+                    else:
+                        raise TypeError(
+                            f"invalid let right-hand side: {rhs!r}"
+                        )
+                    if not joins:
+                        return answer
+                    result, store = answer.value, answer.store
+                store = self.bind_join(store, name, result)
+                term = body
         finally:
             self._depth -= 1
             self.unregister_judgments(registered)
 
     # ------------------------------------------------------------------
-    # appk_e: abstract application with explicit continuation
+    # appk_e (app_e): abstract application
     # ------------------------------------------------------------------
 
     def apply(
         self, fun: AbsVal, arg: AbsVal, kont: AKont, store: AbsStore
     ) -> AAnswer:
         """``appk_e``: apply every abstract closure, each returning
-        through the (duplicated) continuation; join the answers."""
+        through the (duplicated) continuation; join the answers.  Under
+        the empty continuation this is Figure 4's ``app_e``."""
         lattice = self.lattice
         domain = lattice.domain
         answer: AAnswer | None = None
@@ -283,22 +313,23 @@ class SemanticCpsAnalyzer(CpsAnalyzerMixin):
     # Conditionals (``loop`` is `CpsAnalyzerMixin._loop`)
     # ------------------------------------------------------------------
 
-    def _branch(
-        self, name: str, rhs: If0, body: Term, kont: AKont, store: AbsStore
-    ) -> AAnswer:
-        """The ``if0`` rules of Figure 5: the join frame is pushed and
-        each feasible branch is analyzed *with its own copy of the
-        continuation*; answers join only at the very end."""
+    def _branch(self, rhs: If0, inner: AKont, store: AbsStore) -> AAnswer:
+        """The ``if0`` rules of Figures 4 and 5: a definite test selects
+        one branch; an indefinite test analyzes both under ``inner``
+        and joins the answers.  In ``Ce``, ``inner`` holds the join
+        frame, so each branch runs the rest of the program on its own;
+        in ``Me`` it is empty, so the answers **merge before the
+        continuation**."""
         test = self.eval_value(rhs.test, store)
         domain = self.lattice.domain
         zero_possible = domain.may_be_zero(test.num)
         nonzero_possible = domain.may_be_nonzero(test.num) or bool(test.clos)
-        inner: AKont = (AFrame(name, body),) + kont
         if zero_possible and not nonzero_possible:
             return self.eval(rhs.then, inner, store)
         if nonzero_possible and not zero_possible:
             return self.eval(rhs.orelse, inner, store)
         if not zero_possible and not nonzero_possible:
+            # No value reaches the test: the conditional is dead code.
             return AAnswer(self.lattice.bottom, store)
         then_answer = self.eval(rhs.then, inner, store)
         else_answer = self.eval(rhs.orelse, inner, store)

@@ -97,6 +97,12 @@ def uniquify(term: Term, supply: NameSupply | None = None) -> Term:
 
 
 def _rename(term: Term, env: dict[str, str], supply: NameSupply) -> Term:
+    """Rename ``term`` under ``env`` (binder name → fresh name).
+
+    ``env`` is one dict for the whole walk: a binder sets its entry for
+    the walk of its scope and then restores the outer one, so a let
+    spine of n binders costs O(n), not the O(n²) of a copy per binder.
+    """
     match term:
         case Num() | Prim() | Loop():
             return term
@@ -104,13 +110,21 @@ def _rename(term: Term, env: dict[str, str], supply: NameSupply) -> Term:
             return Var(env.get(name, name))
         case Lam(param, body):
             fresh = supply.fresh(param)
-            return Lam(fresh, _rename(body, {**env, param: fresh}, supply))
+            outer = env.get(param, _UNBOUND)
+            env[param] = fresh
+            new_body = _rename(body, env, supply)
+            _restore(env, param, outer)
+            return Lam(fresh, new_body)
         case App(fun, arg):
             return App(_rename(fun, env, supply), _rename(arg, env, supply))
         case Let(name, rhs, body):
             new_rhs = _rename(rhs, env, supply)
             fresh = supply.fresh(name)
-            return Let(fresh, new_rhs, _rename(body, {**env, name: fresh}, supply))
+            outer = env.get(name, _UNBOUND)
+            env[name] = fresh
+            new_body = _rename(body, env, supply)
+            _restore(env, name, outer)
+            return Let(fresh, new_rhs, new_body)
         case If0(test, then, orelse):
             return If0(
                 _rename(test, env, supply),
@@ -120,3 +134,15 @@ def _rename(term: Term, env: dict[str, str], supply: NameSupply) -> Term:
         case PrimApp(op, args):
             return PrimApp(op, tuple(_rename(a, env, supply) for a in args))
     raise TypeError(f"not an A term: {term!r}")
+
+
+_UNBOUND = object()
+
+
+def _restore(env: dict[str, str], name: str, outer) -> None:
+    """Put back the entry a binder of ``name`` shadowed (or remove the
+    binder's own when ``outer`` is `_UNBOUND`)."""
+    if outer is _UNBOUND:
+        del env[name]
+    else:
+        env[name] = outer

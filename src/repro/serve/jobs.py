@@ -290,9 +290,12 @@ def _resolve_name(payload: dict, name: str, allowed, default):
 
 
 def _resolve_int(payload: dict, name: str, default, minimum=1, cap=None):
-    value = payload.get(name, default)
-    if value is None:
-        return None
+    """An integer field: absent takes ``default`` (which may be None,
+    "unbounded"); present, even as JSON ``null``, it must be an integer
+    of at least ``minimum``, clamped to ``cap``."""
+    if name not in payload:
+        return default
+    value = payload[name]
     _require(
         isinstance(value, int) and not isinstance(value, bool),
         f"{name!r} must be an integer",

@@ -13,8 +13,9 @@ thread:
 - **read** — the request line, the headers (into a dict with
   lowercased names) and a ``Content-Length`` body, in one pass of
   ``readline`` over the socket, within `MAX_LINE` bytes a line,
-  `MAX_HEADERS` header lines and a `TIMEOUT_S` socket timeout.  A
-  malformed request gets a ``bad_request`` JSON error from
+  `MAX_HEADERS` header lines and `TIMEOUT_S` seconds from accept for
+  the whole request (each receive waits only for what is left of it).
+  A malformed request gets a ``bad_request`` JSON error from
   `repro.serve.codes`.
 - **write** — the status line, ``Content-Type``, ``Content-Length``,
   the route's extra headers (``traceparent``), a ``Date`` formatted
@@ -31,6 +32,7 @@ requests in flight finish, and joins every handler thread.
 
 from __future__ import annotations
 
+import io
 import socket
 import sys
 import threading
@@ -47,8 +49,9 @@ from repro.serve.pipeline import error_reply
 MAX_LINE = 65536
 #: Most header lines one request may carry.
 MAX_HEADERS = 100
-#: Socket timeout, in seconds: a silent client holds one handler at
-#: most this long per read, and cannot block drain for longer.
+#: Seconds from accept to the end of the request, and the timeout of
+#: the reply's write: a silent or dripping client holds one handler at
+#: most this long, and cannot block drain for longer.
 TIMEOUT_S = 30
 #: A handler that finishes a request while this many others wait in
 #: ``accept`` exits instead of joining them.
@@ -121,6 +124,26 @@ def read_request(rfile) -> "tuple[str, str, str, dict, bytes] | None":
     return method, path, version, headers, body
 
 
+class _DeadlineReader(io.RawIOBase):
+    """The raw reader under a request's buffered reader: each receive
+    waits only for the time left before ``deadline``, so a client that
+    sends a byte at a time cannot stretch the request past it."""
+
+    def __init__(self, conn: socket.socket, deadline: float) -> None:
+        self._conn = conn
+        self._deadline = deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("the request did not arrive in time")
+        self._conn.settimeout(remaining)
+        return self._conn.recv_into(buffer)
+
+
 class HttpTransport:
     """The listening socket and the handler threads that serve it.
 
@@ -186,9 +209,9 @@ class HttpTransport:
 
     def _serve(self, conn: socket.socket, addr) -> None:
         """Read one request from ``conn``, route it, write the reply."""
-        conn.settimeout(TIMEOUT_S)
+        reader = _DeadlineReader(conn, time.monotonic() + TIMEOUT_S)
         try:
-            with conn.makefile("rb") as rfile:
+            with io.BufferedReader(reader) as rfile:
                 request = read_request(rfile)
         except ServeError as error:
             status, body = error_reply(error)
@@ -209,6 +232,7 @@ class HttpTransport:
                 reply = (status, body, JSON_TYPE, ())
         if self._verbose:
             sys.stderr.write(f'{addr[0]} - "{summary}" {reply[0]} -\n')
+        conn.settimeout(TIMEOUT_S)
         try:
             conn.sendall(self._encode(*reply))
         except OSError:

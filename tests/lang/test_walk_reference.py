@@ -3,9 +3,10 @@ reference copies of the walks they replace.
 
 The references below copy the earlier implementations:
 `free_variables` as a recursive frozenset union,
-`has_unique_binders` as a binder list plus a free-variable set, and
-`normalize` as `uniquify` followed by a second name supply rebuilt from
-every name of the renamed term.  The rewritten code must agree with
+`has_unique_binders` as a binder list plus a free-variable set,
+`uniquify`'s renaming walk with a fresh environment dict per binder,
+and `normalize` as that renaming followed by a second name supply
+rebuilt from every name of the renamed term.  The rewritten code must agree with
 them exactly: same sets, same booleans, same `TypeError`, and
 structurally identical normal forms, binder names included.
 """
@@ -29,7 +30,7 @@ from repro.lang.ast import (
     Var,
 )
 from repro.lang.parser import parse
-from repro.lang.rename import NameSupply, _rename, fresh_name_supply
+from repro.lang.rename import NameSupply, fresh_name_supply, uniquify
 from repro.lang.syntax import free_variables, has_unique_binders, subterms
 
 
@@ -81,11 +82,48 @@ def reference_has_unique_binders(term):
     return not (set(names) & reference_free_variables(term))
 
 
-def reference_normalize(term):
+def reference_rename(term, env, supply):
+    match term:
+        case Num() | Prim() | Loop():
+            return term
+        case Var(name):
+            return Var(env.get(name, name))
+        case Lam(param, body):
+            fresh = supply.fresh(param)
+            return Lam(fresh, reference_rename(body, {**env, param: fresh}, supply))
+        case App(fun, arg):
+            return App(
+                reference_rename(fun, env, supply),
+                reference_rename(arg, env, supply),
+            )
+        case Let(name, rhs, body):
+            new_rhs = reference_rename(rhs, env, supply)
+            fresh = supply.fresh(name)
+            return Let(
+                fresh, new_rhs, reference_rename(body, {**env, name: fresh}, supply)
+            )
+        case If0(test, then, orelse):
+            return If0(
+                reference_rename(test, env, supply),
+                reference_rename(then, env, supply),
+                reference_rename(orelse, env, supply),
+            )
+        case PrimApp(op, args):
+            return PrimApp(
+                op, tuple(reference_rename(a, env, supply) for a in args)
+            )
+    raise TypeError(f"not an A term: {term!r}")
+
+
+def reference_uniquify(term):
     supply = NameSupply()
     for name in reference_free_variables(term):
         supply.reserve(name)
-    renamed = _rename(term, {}, supply)
+    return reference_rename(term, {}, supply)
+
+
+def reference_normalize(term):
+    renamed = reference_uniquify(term)
     return _norm(renamed, lambda value: value, fresh_name_supply(renamed))
 
 
@@ -191,6 +229,26 @@ class TestBinderWalks:
         assert outcome(has_unique_binders, term) == outcome(
             reference_has_unique_binders, term
         )
+
+
+class TestUniquifyNames:
+    @pytest.mark.parametrize("source", HAND_MADE)
+    def test_hand_made(self, source):
+        term = parse(source)
+        assert uniquify(term) == reference_uniquify(term)
+
+    def test_random_terms(self):
+        for term in all_terms():
+            assert uniquify(term) == reference_uniquify(term)
+
+    def test_long_spine_with_shadowing(self):
+        # one binder name reused down a spine, inside and after lambdas
+        source = "x"
+        for i in range(100):
+            source = f"(let (x (lambda (x) (+ x {i}))) (let (y x) {source}))"
+        term = parse(source)
+        assert uniquify(term) == reference_uniquify(term)
+        assert has_unique_binders(uniquify(term))
 
 
 class TestNormalizeNames:

@@ -3,13 +3,15 @@
 Replies are byte-identical to the in-process `AnalysisService.process`
 on every route; malformed requests get typed ``repro.serve.codes``
 JSON errors; a body may arrive in pieces; a silent connection holds
-only its own handler; drain finishes a request in flight and leaves no
+only its own handler, and a dripping one only until `TIMEOUT_S` after
+accept; drain finishes a request in flight and leaves no
 handler thread behind; and a spawned server exits 0 on SIGTERM.
 Every test runs under both worker models.
 """
 
 import json
 import os
+import select
 import signal
 import socket
 import subprocess
@@ -22,6 +24,7 @@ import pytest
 
 from repro.corpus.programs import corpus_listing
 from repro.serve.jobs import ServiceDefaults
+from repro.serve import transport
 from repro.serve.server import AnalysisService
 from repro.serve.transport import MAX_HEADERS, MAX_IDLE, MAX_LINE
 
@@ -227,6 +230,44 @@ class TestConnections:
             status, _, body = _post(service.port, "/v1/run", {"program": "(add1 1)"})
             assert status == 200 and json.loads(body)["value"] == 2
             assert time.monotonic() - started < 5
+
+    def test_dripping_client_is_cut_at_the_deadline(
+        self, worker_model, monkeypatch
+    ):
+        # TIMEOUT_S bounds the whole request, not each read: a client
+        # sending a byte every 0.1 s is cut off about TIMEOUT_S after
+        # accept, and drain does not wait for it to stop sending.
+        monkeypatch.setattr(transport, "TIMEOUT_S", 1)
+        svc = _service(worker_model)
+        closed_after = []
+
+        def drip(sock, started):
+            for byte in _request("POST", "/v1/run", b"{}" * 40):
+                try:
+                    sock.sendall(bytes([byte]))
+                    # wait 0.1 s, or less if the server closes first
+                    if select.select([sock], [], [], 0.1)[0]:
+                        if sock.recv(1) == b"":
+                            break
+                except OSError:  # reset: the server closed first
+                    break
+            else:
+                return
+            closed_after.append(time.monotonic() - started)
+
+        sock = socket.create_connection(("127.0.0.1", svc.port), timeout=30)
+        started = time.monotonic()
+        dripper = threading.Thread(target=drip, args=(sock, started))
+        try:
+            dripper.start()
+            time.sleep(0.2)
+            assert svc.drain(timeout=10) is True
+            drained_after = time.monotonic() - started
+            dripper.join(timeout=30)
+        finally:
+            sock.close()
+        assert drained_after < transport.TIMEOUT_S + 1.5
+        assert closed_after and closed_after[0] < transport.TIMEOUT_S + 1.5
 
     def test_serves_on_when_no_spare_handler_starts(self, worker_model):
         svc = _service(worker_model)

@@ -228,6 +228,35 @@ class TestValidation:
         )
         assert prep.spec["max_visits"] == 50
 
+    def test_absent_budget_takes_the_server_cap(self):
+        with pytest.raises(ServeError) as info:
+            execute_request(
+                "analyze",
+                {"corpus": "theorem-5.1"},
+                ServiceDefaults(max_visits=2),
+            )
+        assert info.value.code == "budget_exceeded"
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("analyze", "max_visits"),
+            ("analyze", "k"),
+            ("run", "fuel"),
+            ("run", "debug_sleep_ms"),
+        ],
+    )
+    def test_null_integer_field_is_bad_request(self, kind, field):
+        # An explicit null must not read as "absent" (or as "no
+        # budget"): it would lift the server's --max-visits cap.
+        payload = {"corpus": "theorem-5.1", field: None}
+        if field == "k":
+            payload["analyzer"] = "polyvariant"
+        with pytest.raises(ServeError) as info:
+            execute_request(kind, payload, ServiceDefaults(max_visits=2))
+        assert info.value.code == "bad_request"
+        assert str(info.value) == f"{field!r} must be an integer"
+
 
 class TestDeadline:
     def test_unbounded_never_expires(self):
