@@ -1,11 +1,14 @@
-"""Abstract values and stores pickle without their cached hashes.
+"""Abstract values, stores, terms and closure tokens pickle without
+their cached hashes.
 
-`AbsVal`, `AbsStore` and `SlotStore` cache their hash, and that hash
-folds in string hashes, so it depends on the process's
-``PYTHONHASHSEED``.  A value pickled in one process and loaded in
-another (a ``spawn`` worker, say) must hash there as a fresh equal
-value does, or set and dict lookups miss it.  The closure tags come
-back as the module's singletons, which the analyzers test by identity.
+`AbsVal`, `AbsStore` and `SlotStore` cache their hash, and so do the
+compound nodes of both ASTs and the closure, continuation and frame
+tokens `AbsClo`, `AbsCpsClo`, `AbsCo` and `AFrame`.  That hash folds
+in string hashes, so it depends on the process's ``PYTHONHASHSEED``.
+A value pickled in one process and loaded in another (a ``spawn``
+worker, say) must hash there as a fresh equal value does, or set and
+dict lookups miss it.  The closure tags come back as the module's
+singletons, which the analyzers test by identity.
 """
 
 import os
@@ -71,3 +74,53 @@ def _python(code: str, seed: int, stdin: bytes = b"") -> bytes:
 def test_cached_hashes_do_not_cross_hash_seeds():
     pickled = _python(DUMP, seed=1)
     assert _python(LOAD, seed=2, stdin=pickled) == b"ok\n"
+
+
+TERMS = """
+from repro.analysis.common import AbsClo, AbsCo, AbsCpsClo, AFrame
+from repro.anf import normalize
+from repro.cps import cps_transform
+from repro.lang import parse
+
+source = "(let (f (lambda (x) (if0 x (add1 x) (+ x 2)))) (let (y (f 1)) y))"
+term = normalize(parse(source))
+lam = term.rhs
+cterm = cps_transform(term)
+clam = cterm.value
+klam = cterm.body.kont
+values = [
+    term,
+    lam,
+    cterm,
+    clam,
+    klam,
+    AbsClo(lam.param, lam.body),
+    AbsCpsClo(clam.param, clam.kparam, clam.body),
+    AbsCo(klam.param, klam.body),
+    AFrame("f", term.body),
+]
+"""
+
+TERMS_DUMP = TERMS + """
+import pickle, sys
+for item in values:
+    hash(item)  # fill every cache before pickling
+sys.stdout.buffer.write(pickle.dumps(values))
+"""
+
+TERMS_LOAD = TERMS + """
+import pickle, sys
+loaded = pickle.loads(sys.stdin.buffer.read())
+for got, want in zip(loaded, values):
+    name = type(got).__name__
+    assert got == want, name
+    assert hash(got) == hash(want), name
+    assert got in {want}, name
+    assert want in set(loaded), name
+print("ok")
+"""
+
+
+def test_terms_and_tokens_rehash_under_another_seed():
+    pickled = _python(TERMS_DUMP, seed=1)
+    assert _python(TERMS_LOAD, seed=2, stdin=pickled) == b"ok\n"
