@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator
 
 from repro.analysis.result import AnalysisResult
@@ -24,7 +24,7 @@ from repro.domains.absval import AbsVal, Lattice
 from repro.domains.constprop import ConstPropDomain
 from repro.domains.protocol import NumDomain
 from repro.domains.store import AbsStore
-from repro.lang.ast import Lam, Num, Prim, Term, Var
+from repro.lang.ast import Lam, Num, Prim, Term, Var, cached_hash, hash_slot
 from repro.lang.syntax import subterms
 from repro.obs.events import (
     AnalyzerVisit,
@@ -47,6 +47,15 @@ class AnalysisError(Exception):
 #: Default recursion headroom for deeply nested abstract derivations.
 RECURSION_LIMIT = 100_000
 
+#: Recursion headroom of the front-end passes.  It bounds how deep a
+#: program may nest (a let/lambda nest about 3300 levels deep passes),
+#: well below `RECURSION_LIMIT`: the analyzers recurse several times
+#: per level and copy a store per binder, so their time and memory
+#: grow with the square of the nesting depth; and a term's first hash
+#: nests C calls once per level, which overflows the C stack (SIGSEGV)
+#: near 20 000 levels under `RECURSION_LIMIT`.
+FRONT_END_LIMIT = 10_000
+
 
 @contextmanager
 def recursion_headroom(limit: int = RECURSION_LIMIT) -> Iterator[None]:
@@ -64,6 +73,26 @@ def recursion_headroom(limit: int = RECURSION_LIMIT) -> Iterator[None]:
     finally:
         if limit > previous:
             sys.setrecursionlimit(previous)
+
+
+class ProgramTooDeep(ValueError):
+    """The program nests past the front end's recursion headroom (the
+    ``bad_request`` code, CLI exit 11)."""
+
+
+@contextmanager
+def front_end_headroom() -> Iterator[None]:
+    """Run a recursive front-end pass (parse, normalize, uniquify, the
+    CPS transform, the grammar checks, a term's first hash) with
+    `FRONT_END_LIMIT` headroom; a program that nests past it raises
+    `ProgramTooDeep` instead of a raw `RecursionError`."""
+    try:
+        with recursion_headroom(FRONT_END_LIMIT):
+            yield
+    except RecursionError:
+        raise ProgramTooDeep(
+            "program nests too deeply for the front end"
+        ) from None
 
 
 class BudgetExceeded(AnalysisError):
@@ -135,18 +164,24 @@ A_INCK = AbsTag("inck")
 A_DECK = AbsTag("deck")
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class AbsClo:
     """An abstract user closure ``(cle x, M)`` — the environment is
-    dropped by the 0CFA abstraction (Section 4.1)."""
+    dropped by the 0CFA abstraction (Section 4.1).  Like the terms, it
+    and the other closure, continuation and frame tokens keep their
+    hash (`repro.lang.ast.cached_hash`): the first hash of a fresh
+    closure set would otherwise re-hash every body."""
 
     param: str
-    body: Term = field(compare=True)
+    body: Term
+    _hash: "int | None" = hash_slot()
 
     def __str__(self) -> str:
         return f"(cle {self.param})"
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class AbsCpsClo:
     """An abstract CPS user closure ``(cle x k, P)``."""
@@ -154,11 +189,13 @@ class AbsCpsClo:
     param: str
     kparam: str
     body: CTerm
+    _hash: "int | None" = hash_slot()
 
     def __str__(self) -> str:
         return f"(cle {self.param} {self.kparam})"
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class AbsCo:
     """An abstract continuation ``(coe x, P)`` of the syntactic-CPS
@@ -166,6 +203,7 @@ class AbsCo:
 
     param: str
     body: CTerm
+    _hash: "int | None" = hash_slot()
 
     def __str__(self) -> str:
         return f"(coe {self.param})"
@@ -200,6 +238,7 @@ def canonical_order(members: frozenset, key: Callable = str):
     return sorted(members, key=key) if len(members) > 1 else members
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class AFrame:
     """An abstract semantic-CPS frame ``(let (x []) M)`` — the
@@ -207,6 +246,7 @@ class AFrame:
 
     name: str
     body: Term
+    _hash: "int | None" = hash_slot()
 
     def __str__(self) -> str:
         return f"(let ({self.name} []) ...)"
@@ -423,6 +463,28 @@ class WorkBudgetMixin:
 
     Together: a hit reproduces exactly what re-evaluation would have
     produced, so only visit counts (and wall time) change.
+
+    The φ table (:meth:`phi`) makes φ cost one probe per program point.
+    Off a variable, φ depends only on the node, so a tree analyzer
+    builds the abstract value of each ``Num``/``Prim``/``Lam``
+    (``CNum``/``CPrim``/``CLam``) and the ``{(coe x, P)}`` of each
+    ``KLam`` once, with :meth:`build_phi`, and returns that one object
+    on every later visit.  The contract:
+
+    - one table per analysis, made in :meth:`setup` and dropped with
+      the analyzer;
+    - probed by ``id(node)`` and checked by identity on the node (as
+      `repro.analysis.engine._entry_lookup` does), so a reused id can
+      never hit, and equal nodes at two positions keep two entries;
+    - its values equal the freshly built ones, so answers, stores and
+      hashes do not move;
+    - the widening counts and `AbsStore.joined_bind`'s "is ``self``"
+      test rest only on `Lattice.join` returning ``a`` exactly when
+      ``b`` ⊑ ``a``, not on whether its operands are one object, so
+      sharing the value changes no count.
+
+    The k-CFA analyzer does not use it (its closures capture contexts),
+    and the plan engines build their constants once per plan instead.
     """
 
     stats: AnalysisStats
@@ -614,7 +676,8 @@ class WorkBudgetMixin:
         (constant propagation by default, as in the paper), the
         counters, the obs hooks, the eval memo and the active path."""
         if check:
-            self.check_term(term)
+            with front_end_headroom():
+                self.check_term(term)
         self.term = term
         self.lattice = Lattice(
             domain if domain is not None else ConstPropDomain()
@@ -625,6 +688,23 @@ class WorkBudgetMixin:
         self.init_perf(cache)
         self._active: dict = {}
         self._depth = 0
+        self._phi: dict[int, tuple] = {}
+
+    def phi(self, node) -> AbsVal:
+        """φ of the non-variable syntactic value (or continuation
+        lambda) ``node``: one `AbsVal` per node per analysis (see the
+        class docstring)."""
+        entry = self._phi.get(id(node))
+        if entry is not None and entry[0] is node:
+            return entry[1]
+        value = self.build_phi(node)
+        self._phi[id(node)] = (node, value)
+        return value
+
+    def build_phi(self, node) -> AbsVal:
+        """φ of a non-variable value, built afresh: Figures 4/5's
+        ``phi_e`` (the syntactic-CPS analyzers override it)."""
+        return abstract_value(self.lattice, node, None)
 
     def check_term(self, term) -> None:
         """The ``check=True`` grammar check: the restricted (A-normal

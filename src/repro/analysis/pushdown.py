@@ -75,7 +75,6 @@ from repro.analysis.common import (
     AAnswer,
     AbsClo,
     WorkBudgetMixin,
-    abstract_value,
     canonical_order,
 )
 from repro.analysis.registry import analyzer_class
@@ -166,7 +165,7 @@ class PushdownAnalyzer(WorkBudgetMixin):
             if hit is not None:
                 return hit
             return store.get(value.name)
-        return abstract_value(self.lattice, value, store)
+        return self.phi(value)
 
     # ------------------------------------------------------------------
     # Abstract evaluation of terms

@@ -28,6 +28,7 @@ from functools import cache
 from importlib import import_module
 from typing import Any, Mapping
 
+from repro.analysis.common import front_end_headroom
 from repro.analysis.delta import delta_store
 from repro.cps.transform import cps_transform
 from repro.domains.absval import Lattice
@@ -240,6 +241,8 @@ def run_analyzer(name: str, term: Any, *, cache: bool = False, **options: Any):
 def _cps_image(term: Any, domain: Any, initial, check: bool):
     """The cps(A) program and δe-transported initial store the
     syntactic-CPS analyzer walks instead of ``term`` and ``initial``."""
-    cps_term = cps_transform(term, check=check)
+    with front_end_headroom():
+        cps_term = cps_transform(term, check=check)
+        hash(cps_term)
     lattice = Lattice(domain if domain is not None else ConstPropDomain())
     return cps_term, dict(delta_store(AbsStore(lattice, initial)).items())

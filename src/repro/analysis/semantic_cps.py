@@ -41,7 +41,6 @@ from repro.analysis.common import (
     AFrame,
     AKont,
     CpsAnalyzerMixin,
-    abstract_value,
     canonical_order,
     closures_of_store,
     closures_of_term,
@@ -51,7 +50,7 @@ from repro.analysis.result import AnalysisResult
 from repro.domains.absval import AbsVal
 from repro.domains.protocol import NumDomain
 from repro.domains.store import AbsStore
-from repro.lang.ast import App, If0, Let, Loop, PrimApp, Term, is_value
+from repro.lang.ast import App, If0, Let, Loop, PrimApp, Term, Var, is_value
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import Sink
 
@@ -136,8 +135,11 @@ class SemanticCpsAnalyzer(CpsAnalyzerMixin):
     # ------------------------------------------------------------------
 
     def eval_value(self, value: Term, store: AbsStore) -> AbsVal:
-        """``phi_e``: the abstract value of a syntactic value."""
-        return abstract_value(self.lattice, value, store)
+        """``phi_e``: the abstract value of a syntactic value (off a
+        variable, from the φ table)."""
+        if type(value) is Var:
+            return store.get(value.name)
+        return self.phi(value)
 
     # ------------------------------------------------------------------
     # Ce (and Me)

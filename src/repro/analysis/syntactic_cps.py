@@ -50,6 +50,7 @@ from repro.cps.ast import (
     CValue,
     CVar,
     KApp,
+    KLam,
 )
 from repro.cps.transform import TOP_KVAR
 from repro.cps.validate import validate_cps
@@ -132,20 +133,27 @@ class SyntacticCpsAnalyzer(CpsAnalyzerMixin):
     # ------------------------------------------------------------------
 
     def eval_value(self, value: CValue, store: AbsStore) -> AbsVal:
-        """``phi_s`` of Figure 6."""
+        """``phi_s`` of Figure 6 (off a variable, from the φ table)."""
+        if type(value) is CVar:
+            return store.get(value.name)
+        return self.phi(value)
+
+    def build_phi(self, node) -> AbsVal:
+        """``phi_s`` of a non-variable value, and the continuation
+        value ``{(coe x, P)}`` of a continuation lambda, built afresh."""
         lattice = self.lattice
-        match value:
+        match node:
             case CNum(n):
                 return lattice.of_const(n)
-            case CVar(name):
-                return store.get(name)
             case CPrim("add1k"):
                 return lattice.of_clos(A_INCK)
             case CPrim("sub1k"):
                 return lattice.of_clos(A_DECK)
             case CLam(param, kparam, body):
                 return lattice.of_clos(AbsCpsClo(param, kparam, body))
-        raise TypeError(f"not a cps(A) value: {value!r}")
+            case KLam(param, body):
+                return lattice.of_konts(AbsCo(param, body))
+        raise TypeError(f"not a cps(A) value: {node!r}")
 
     # ------------------------------------------------------------------
     # Ms
@@ -206,10 +214,9 @@ class SyntacticCpsAnalyzer(CpsAnalyzerMixin):
                     case CApp(fun, arg, klam):
                         fun_v = self.eval_value(fun, store)
                         arg_v = self.eval_value(arg, store)
-                        kont_val = self.lattice.of_konts(
-                            AbsCo(klam.param, klam.body)
+                        return self.apply(
+                            fun_v, arg_v, self.phi(klam), store
                         )
-                        return self.apply(fun_v, arg_v, kont_val, store)
                     case CIf0(kvar, klam, test, then, orelse):
                         return self._branch(
                             kvar, klam, test, then, orelse, store
@@ -224,10 +231,7 @@ class SyntacticCpsAnalyzer(CpsAnalyzerMixin):
                         store = self.bind_join(store, name, result)
                         term = body
                     case CLoop(klam):
-                        kont_val = self.lattice.of_konts(
-                            AbsCo(klam.param, klam.body)
-                        )
-                        return self._loop(kont_val, store)
+                        return self._loop(self.phi(klam), store)
                     case _:
                         raise TypeError(f"not a cps(A) term: {term!r}")
         finally:
@@ -325,9 +329,7 @@ class SyntacticCpsAnalyzer(CpsAnalyzerMixin):
         nonzero_possible = domain.may_be_nonzero(test_v.num) or bool(
             test_v.clos
         )
-        bound = self.bind_join(
-            store, kvar, self.lattice.of_konts(AbsCo(klam.param, klam.body))
-        )
+        bound = self.bind_join(store, kvar, self.phi(klam))
         if zero_possible and not nonzero_possible:
             return self.eval(then, bound)
         if nonzero_possible and not zero_possible:

@@ -22,6 +22,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from repro.analysis.common import front_end_headroom
 from repro.analysis.compare import (
     Precision,
     compare_direct_to_cps,
@@ -60,16 +61,22 @@ THREE_WAY_ANALYZERS: tuple[str, ...] = (
 
 def prepare(program: "str | Term | CorpusProgram") -> Term:
     """Turn source text / an arbitrary term / a corpus entry into a
-    program of the restricted subset."""
+    program of the restricted subset.
+
+    Runs under `front_end_headroom`, and fills every node's cached
+    hash there, so no later first hash of the program recurses
+    outside the headroom."""
     if isinstance(program, CorpusProgram):
         return program.term
-    if isinstance(program, str):
-        program = parse(program)
-    if not isinstance(program, TERM_CLASSES):
-        raise TypeError(f"not an A program: {program!r}")
-    if is_anf(program):
-        return program
-    return normalize(program)
+    with front_end_headroom():
+        if isinstance(program, str):
+            program = parse(program)
+        if not isinstance(program, TERM_CLASSES):
+            raise TypeError(f"not an A program: {program!r}")
+        if not is_anf(program):
+            program = normalize(program)
+        hash(program)
+    return program
 
 
 def analysis_initial(
@@ -328,7 +335,9 @@ def run_comparison(
         )
         cps_term = prebuilt["syntactic-cps"].term
     else:
-        cps_term = cps_transform(term)
+        with front_end_headroom():
+            cps_term = cps_transform(term)
+            hash(cps_term)
     span = metrics.span if metrics is not None else nullcontext
     results = {}
     for name in selected:

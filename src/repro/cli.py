@@ -51,7 +51,7 @@ import sys
 from typing import Sequence
 
 from repro.anf import normalize
-from repro.analysis.common import LOOP_MODES
+from repro.analysis.common import LOOP_MODES, front_end_headroom
 from repro.analysis.registry import (
     ANALYZERS,
     ENGINES,
@@ -85,7 +85,10 @@ def _load_term(args: argparse.Namespace):
             source = handle.read()
     else:
         raise SystemExit("provide a FILE or -e SOURCE")
-    return normalize(parse(source))
+    with front_end_headroom():
+        term = normalize(parse(source))
+        hash(term)
+    return term
 
 
 def _parse_assumes(pairs: list[str]) -> dict[str, int]:
@@ -316,12 +319,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_anf(args: argparse.Namespace) -> int:
-    print(pretty(_load_term(args)))
+    with front_end_headroom():
+        text = pretty(_load_term(args))
+    print(text)
     return 0
 
 
 def _cmd_cps(args: argparse.Namespace) -> int:
-    print(cps_pretty(cps_transform(_load_term(args))))
+    with front_end_headroom():
+        text = cps_pretty(cps_transform(_load_term(args)))
+    print(text)
     return 0
 
 
@@ -373,21 +380,22 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             key: lattice.of_const(value) for key, value in assumes.items()
         }
         jobs.append((source, name, initial))
-    reports = [
-        run_lints(
-            program,
-            analyzer=args.analyzer,
-            domain=domain,
-            initial=initial,
-            loop_mode=args.loop_mode,
-            max_visits=args.max_visits,
-            semantic=not args.syntactic_only,
-            fix=args.fix,
-            program_name=name,
-            engine=args.engine,
-        )
-        for program, name, initial in jobs
-    ]
+    with front_end_headroom():
+        reports = [
+            run_lints(
+                program,
+                analyzer=args.analyzer,
+                domain=domain,
+                initial=initial,
+                loop_mode=args.loop_mode,
+                max_visits=args.max_visits,
+                semantic=not args.syntactic_only,
+                fix=args.fix,
+                program_name=name,
+                engine=args.engine,
+            )
+            for program, name, initial in jobs
+        ]
     if args.format == "json":
         if args.all:
             print(
@@ -1399,14 +1407,14 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    from repro.analysis.common import AnalysisError
+    from repro.analysis.common import AnalysisError, ProgramTooDeep
     from repro.interp.errors import InterpError
     from repro.lang.errors import LangError
 
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (AnalysisError, InterpError, LangError) as exc:
+    except (AnalysisError, InterpError, LangError, ProgramTooDeep) as exc:
         from repro.serve.codes import exit_code_for
 
         code, message = exit_code_for(exc)

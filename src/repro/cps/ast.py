@@ -12,6 +12,9 @@ Extended (as in the source language) with second-class operator
 bindings ``(let (x (op W W)) P)`` and the Section 6.2 looping
 construct ``(loop (lambda (x) P))``, which passes every natural number
 to its continuation and never returns.
+
+As in `repro.lang.ast`, every compound node keeps its structural hash
+(`cached_hash`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.lang.ast import SECOND_CLASS_OPS
+from repro.lang.ast import SECOND_CLASS_OPS, cached_hash, hash_slot
 
 #: Names of the CPS first-class primitives.
 CPS_PRIMS = ("add1k", "sub1k")
@@ -52,6 +55,7 @@ class CPrim:
             )
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class CLam:
     """A user procedure ``(lambda (x k) P)`` taking a value and a
@@ -60,8 +64,10 @@ class CLam:
     param: str
     kparam: str
     body: "CTerm"
+    _hash: "int | None" = hash_slot()
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class KLam:
     """A continuation lambda ``(lambda (x) P)``.
@@ -72,6 +78,7 @@ class KLam:
 
     param: str
     body: "CTerm"
+    _hash: "int | None" = hash_slot()
 
 
 #: Trivial terms W.
@@ -81,14 +88,17 @@ CValue = Union[CNum, CVar, CPrim, CLam]
 CVALUE_CLASSES = (CNum, CVar, CPrim, CLam)
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class KApp:
     """A return ``(k W)``: invoke the continuation bound to ``k``."""
 
     kvar: str
     value: CValue
+    _hash: "int | None" = hash_slot()
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class CLet:
     """A binding ``(let (x W) P)``."""
@@ -96,8 +106,10 @@ class CLet:
     name: str
     value: CValue
     body: "CTerm"
+    _hash: "int | None" = hash_slot()
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class CApp:
     """A call ``(W W (lambda (x) P))`` with an explicit continuation."""
@@ -105,8 +117,10 @@ class CApp:
     fun: CValue
     arg: CValue
     kont: KLam
+    _hash: "int | None" = hash_slot()
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class CIf0:
     """A conditional ``(let (k (lambda (x) P)) (if0 W P P))``.
@@ -120,8 +134,10 @@ class CIf0:
     test: CValue
     then: "CTerm"
     orelse: "CTerm"
+    _hash: "int | None" = hash_slot()
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class CPrimLet:
     """A second-class operator binding ``(let (x (op W W)) P)``."""
@@ -130,6 +146,7 @@ class CPrimLet:
     op: str
     args: tuple[CValue, ...]
     body: "CTerm"
+    _hash: "int | None" = hash_slot()
 
     def __post_init__(self) -> None:
         arity = SECOND_CLASS_OPS.get(self.op)
@@ -141,6 +158,7 @@ class CPrimLet:
             )
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class CLoop:
     """The looping construct ``(loop (lambda (x) P))``.
@@ -150,6 +168,7 @@ class CLoop:
     """
 
     kont: KLam
+    _hash: "int | None" = hash_slot()
 
 
 #: Serious terms P.

@@ -89,7 +89,7 @@ def cps_violations(
             environment (usually ``{TOP_KVAR}``).
     """
     out: list[Violation] = []
-    _check(term, top_kvars, set(), out)
+    _check(term, top_kvars, out)
     return out
 
 
@@ -109,12 +109,7 @@ def validate_cps(term: CTerm, top_kvars: frozenset[str] = frozenset()) -> None:
         raise SyntaxValidationError.from_violation(violations[0])
 
 
-def _check_value(
-    value: CValue,
-    kvars: frozenset[str],
-    xvars: set[str],
-    out: list[Violation],
-) -> None:
+def _check_value(value: CValue, out: list[Violation]) -> None:
     match value:
         case CNum() | CPrim():
             return
@@ -139,19 +134,14 @@ def _check_value(
                         kparam,
                     )
                 )
-            _check(body, frozenset((kparam,)), xvars | {param}, out)
+            _check(body, frozenset((kparam,)), out)
             return
     out.append(
         Violation(RULE_NOT_IN_CPS, f"not a cps(A) value: {value!r}")
     )
 
 
-def _check(
-    term: CTerm,
-    kvars: frozenset[str],
-    xvars: set[str],
-    out: list[Violation],
-) -> None:
+def _check(term: CTerm, kvars: frozenset[str], out: list[Violation]) -> None:
     match term:
         case KApp(kvar, value):
             if kvar not in kvars:
@@ -162,14 +152,14 @@ def _check(
                         kvar,
                     )
                 )
-            _check_value(value, kvars, xvars, out)
-        case CLet(name, value, body):
-            _check_value(value, kvars, xvars, out)
-            _check(body, kvars, xvars | {name}, out)
+            _check_value(value, out)
+        case CLet(_, value, body):
+            _check_value(value, out)
+            _check(body, kvars, out)
         case CApp(fun, arg, kont):
-            _check_value(fun, kvars, xvars, out)
-            _check_value(arg, kvars, xvars, out)
-            _check(kont.body, kvars, xvars | {kont.param}, out)
+            _check_value(fun, out)
+            _check_value(arg, out)
+            _check(kont.body, kvars, out)
         case CIf0(kvar, kont, test, then, orelse):
             if not kvar.startswith("k/"):
                 out.append(
@@ -180,17 +170,17 @@ def _check(
                         kvar,
                     )
                 )
-            _check_value(test, kvars, xvars, out)
-            _check(kont.body, kvars, xvars | {kont.param}, out)
+            _check_value(test, out)
+            _check(kont.body, kvars, out)
             inner = kvars | {kvar}
-            _check(then, inner, xvars, out)
-            _check(orelse, inner, xvars, out)
-        case CPrimLet(name, _, args, body):
+            _check(then, inner, out)
+            _check(orelse, inner, out)
+        case CPrimLet(_, _, args, body):
             for arg in args:
-                _check_value(arg, kvars, xvars, out)
-            _check(body, kvars, xvars | {name}, out)
+                _check_value(arg, out)
+            _check(body, kvars, out)
         case CLoop(kont):
-            _check(kont.body, kvars, xvars | {kont.param}, out)
+            _check(kont.body, kvars, out)
         case _:
             out.append(
                 Violation(RULE_NOT_IN_CPS, f"not a cps(A) term: {term!r}")

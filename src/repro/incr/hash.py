@@ -57,11 +57,13 @@ _FIELD_CACHE: dict[type, tuple[str, ...]] = {}
 
 
 def _field_names(node: Any) -> tuple[str, ...]:
-    """Dataclass field names of ``node``'s type, definition order."""
+    """The ``__init__`` field names of ``node``'s type, definition
+    order: a node's cached hash (`repro.lang.ast.cached_hash`) is a
+    field outside ``__init__`` and never enters a digest."""
     cls = type(node)
     cached = _FIELD_CACHE.get(cls)
     if cached is None:
-        cached = tuple(f.name for f in fields(cls))
+        cached = tuple(f.name for f in fields(cls) if f.init)
         _FIELD_CACHE[cls] = cached
     return cached
 

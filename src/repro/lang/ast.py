@@ -20,12 +20,15 @@ construct whose exact collecting semantics is the infinite set
 All node classes are immutable (frozen dataclasses) and hashable, so
 that—after the unique-binder renaming pass—structural equality
 identifies program points, which is how the paper uses bound variables
-as labels.
+as labels.  A compound node computes its structural hash once and keeps
+it (`cached_hash`); nodes are not interned, since the analyzers key
+program positions on ``id(term)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Union
 
 #: Names of the first-class unary primitives.
@@ -33,6 +36,51 @@ FIRST_CLASS_PRIMS = ("add1", "sub1")
 
 #: Names of the second-class n-ary operators and their arities.
 SECOND_CLASS_OPS = {"+": 2, "-": 2, "*": 2}
+
+
+def hash_slot():
+    """The ``_hash`` field of a `cached_hash` class: a slot outside
+    ``__init__``, equality and ``repr``, empty until the first hash."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+def cached_hash(cls):
+    """Give the frozen dataclass ``cls``, which declares
+    ``_hash: int | None = hash_slot()``, a hash computed once and kept.
+
+    A compound node's generated hash re-hashes its whole subtree on
+    every call; the cached one equals it, the hash of the tuple of the
+    ``__init__`` fields in definition order, so set orders and digests
+    do not move.  The value folds in string hashes, which depend on
+    ``PYTHONHASHSEED``, so ``__reduce__`` rebuilds through the
+    constructor and a pickle never carries it (after
+    `repro.domains.absval.AbsVal`).  The first hash recurses once per
+    level into children that have none yet, as the generated one did;
+    the front end (`repro.api.prepare`) fills a program's hashes under
+    its recursion headroom, so later hashes do not recurse.
+    """
+    names = tuple(f.name for f in fields(cls) if f.init)
+    if len(names) > 1:
+        key = attrgetter(*names)
+    else:
+        (name,) = names
+
+        def key(node):
+            return (getattr(node, name),)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return type(self), key(self)
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,26 +127,31 @@ class Prim:
         return self.name
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class Lam:
     """A user-defined procedure ``(lambda (x) M)``."""
 
     param: str
     body: "Term"
+    _hash: "int | None" = hash_slot()
 
     def __post_init__(self) -> None:
         if not self.param:
             raise ValueError("lambda parameter must be non-empty")
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class App:
     """A procedure application ``(M M)``."""
 
     fun: "Term"
     arg: "Term"
+    _hash: "int | None" = hash_slot()
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class Let:
     """A let expression ``(let (x M) M)``."""
@@ -106,12 +159,14 @@ class Let:
     name: str
     rhs: "Term"
     body: "Term"
+    _hash: "int | None" = hash_slot()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("let-bound name must be non-empty")
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class If0:
     """A conditional ``(if0 M M M)``.
@@ -123,8 +178,10 @@ class If0:
     test: "Term"
     then: "Term"
     orelse: "Term"
+    _hash: "int | None" = hash_slot()
 
 
+@cached_hash
 @dataclass(frozen=True, slots=True)
 class PrimApp:
     """A fully-applied second-class operator ``(op M ... M)``.
@@ -135,6 +192,7 @@ class PrimApp:
 
     op: str
     args: tuple["Term", ...]
+    _hash: "int | None" = hash_slot()
 
     def __post_init__(self) -> None:
         arity = SECOND_CLASS_OPS.get(self.op)

@@ -27,7 +27,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.common import LOOP_MODES, check_unroll_bound
+from repro.analysis.common import (
+    LOOP_MODES,
+    check_unroll_bound,
+    front_end_headroom,
+)
 from repro.analysis.registry import (
     ALIASES,
     ANALYZERS,
@@ -245,10 +249,13 @@ def _resolve_term(payload: dict) -> tuple[Term, CorpusProgram | None]:
             )
         return program.term, program
     _require(isinstance(source, str), "'program' must be source text")
-    with obs_trace.span("prepare.parse"):
-        tree = parse(source)
-    with obs_trace.span("prepare.normalize"):
-        return normalize(tree), None
+    with front_end_headroom():
+        with obs_trace.span("prepare.parse"):
+            tree = parse(source)
+        with obs_trace.span("prepare.normalize"):
+            term = normalize(tree)
+            hash(term)
+    return term, None
 
 
 def _resolve_assume(payload: dict) -> dict[str, int]:
@@ -410,7 +417,8 @@ def prepare_request(
     with obs_trace.span("prepare.key"):
         # The canonical re-print is what makes whitespace and comment
         # variants of one program share a key.
-        spec["term"] = pretty_flat(term)
+        with front_end_headroom():
+            spec["term"] = pretty_flat(term)
         if sleep_ms == 0 and not not_modified:
             digest = hashlib.sha256(
                 json.dumps(spec, sort_keys=True).encode("utf-8")
@@ -523,19 +531,21 @@ def _execute_lint(
         initial[name] = lattice.of_const(value)
     deadline.check()
     program = prep.corpus if prep.corpus is not None else spec["source"]
-    report = run_lints(
-        program,
-        analyzer=spec["analyzer"],
-        domain=domain,
-        initial=initial,
-        loop_mode=spec["loop_mode"],
-        unroll_bound=spec["unroll_bound"],
-        max_visits=spec["max_visits"],
-        semantic=not spec["syntactic_only"],
-        fix=spec["fix"],
-        trace=trace,
-        metrics=metrics,
-    )
+    # Lint runs its own front end on the source (it reads spans).
+    with front_end_headroom():
+        report = run_lints(
+            program,
+            analyzer=spec["analyzer"],
+            domain=domain,
+            initial=initial,
+            loop_mode=spec["loop_mode"],
+            unroll_bound=spec["unroll_bound"],
+            max_visits=spec["max_visits"],
+            semantic=not spec["syntactic_only"],
+            fix=spec["fix"],
+            trace=trace,
+            metrics=metrics,
+        )
     return {
         "ok": True,
         "kind": "lint",

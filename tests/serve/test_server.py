@@ -85,6 +85,20 @@ class TestRoutes:
         assert info.value.status == 400
 
 
+    def test_deep_nest_analyzes(self, client):
+        source = "y"
+        for i in range(300):
+            source = f"(let (x (lambda (x) (+ x {i}))) (let (y x) {source}))"
+        assert client.analyze(program=source)["ok"]
+
+    def test_too_deep_program_is_bad_request(self, client):
+        with pytest.raises(ServiceError) as info:
+            client.analyze(program="(add1 " * 5000 + "1" + ")" * 5000)
+        assert info.value.code == "bad_request"
+        assert info.value.status == 400
+        assert "nests too deeply" in str(info.value)
+
+
 class TestCache:
     def test_repeat_request_hits_cache_with_identical_payload(self, client):
         payload = {"corpus": "constants", "analyzer": "direct"}

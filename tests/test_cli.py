@@ -1,10 +1,21 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
 from repro.cli import main
+
+
+def _deep_nest(rounds: int) -> str:
+    source = "y"
+    for i in range(rounds):
+        source = f"(let (x (lambda (x) (+ x {i}))) (let (y x) {source}))"
+    return source
+
+
+DEEP_NEST = _deep_nest(300)
 
 
 def run_cli(capsys, *argv):
@@ -307,6 +318,21 @@ class TestExitCodes:
         )
         assert code == 7
         assert "non_computable" in err
+
+    def test_deep_nest_analyzes(self, capsys):
+        """A 600-deep let/lambda nest runs through the front end under
+        its recursion headroom (it used to die in a RecursionError)."""
+        code, out, _ = run_cli(capsys, "analyze", "-e", DEEP_NEST)
+        assert code == 0
+        assert "y%299" in out
+
+    def test_too_deep_exits_11(self, capsys):
+        limit = sys.getrecursionlimit()
+        source = "(add1 " * 5000 + "1" + ")" * 5000
+        code, _, err = run_cli(capsys, "analyze", "-e", source)
+        assert code == 11
+        assert "bad_request: program nests too deeply" in err
+        assert sys.getrecursionlimit() == limit
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):
